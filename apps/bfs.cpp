@@ -1,250 +1,40 @@
 // BFS driver (mirrors the upstream PASGAL per-algorithm executables).
 //
-//   bfs <graph> [-s source | --sources <v0,v1,...|@file>]
-//       [-a pasgal|gbbs|gapbs|seq|ms] [-t tau] [-r repeats]
-//       [--updates <log.plog>] [--serve N] [--validate]
-//       [--json-metrics <path>]
+//   bfs <graph> [-s source | --sources <v0,v1,...|@file>] [-a <variant>]
+//       [-t tau] [-r repeats] [--updates <log.plog>] [--serve N]
+//       [--validate] [--json-metrics <path>]
 //
-// `--sources` switches to batched mode: the bit-parallel ms_bfs kernel
-// advances every listed source (max 64) through one shared sweep, prints a
+// `--sources` switches to batched mode: the bit-parallel kernel advances
+// every listed source (max 64) through one shared sweep, prints a
 // per-source summary, and the metrics document gains a "batch" section.
 //
-// `--updates` switches to incremental mode: a baseline gbbs (edge_map) run
-// settles the pristine graph, then each batch in the update log is applied
-// as a delta overlay and the distances are repaired in place
-// (algorithms/incremental.h) — re-settling only the affected vertices. The
-// metrics document gains a "delta" section reporting the repair scope.
+// `--updates` switches to incremental mode: a baseline run of the variant
+// that sees through update overlays settles the pristine graph, then each
+// batch in the update log is applied as a delta overlay and the distances
+// are repaired in place (algorithms/incremental.h) — re-settling only the
+// affected vertices. The metrics document gains a "delta" section.
 //
-// Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <chrono>
-#include <optional>
+// Variants and their inputs come from the catalog (algorithms/catalog.h);
+// the run path is apps/driver.h. Exit codes: 0 ok / 1 internal / 2 usage /
+// 3 bad input / 4 resource.
+#include <algorithm>
 
-#include "algorithms/bfs/bfs.h"
-#include "algorithms/incremental.h"
-#include "common.h"
-#include "graphs/delta.h"
+#include "driver.h"
 
 using namespace pasgal;
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
-  bool algo_given = false;
-  long long source = 0;
-  bool source_given = false;
-  std::string sources_text;
-  std::string updates_path;
-  long long tau = 512;
-  cli::OptionSet opts;
-  cli::CommonOptions common;
-  opts.integer("-s", &source, 0, 0xFFFFFFFFLL, "source", &source_given)
-      .choice("-a", &algo, {"pasgal", "gbbs", "gapbs", "seq", "ms"},
-              &algo_given)
-      .text("--sources", &sources_text, "v0,v1,...|@file")
-      .text("--updates", &updates_path, "updates.plog")
-      .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
-  common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    std::vector<VertexId> batch_sources;
-    if (!sources_text.empty()) {
-      if (source_given) {
-        throw Error(ErrorCategory::kUsage,
-                    "-s conflicts with --sources: give one source or a batch");
-      }
-      if (algo_given && algo != "ms") {
-        throw Error(ErrorCategory::kUsage,
-                    "--sources runs the bit-parallel ms kernel; -a " + algo +
-                        " has no batch mode");
-      }
-      algo = "ms";
-      batch_sources = cli::parse_sources(sources_text);
-    } else if (algo == "ms") {
-      throw Error(ErrorCategory::kUsage,
-                  "-a ms needs a batch: give the sources via --sources");
-    }
-
-    if (!updates_path.empty()) {
-      if (!sources_text.empty()) {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates conflicts with --sources (incremental repair "
-                    "maintains one distance vector)");
-      }
-      if (common.serve != 0) {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates is stateful (each batch applies once); it "
-                    "conflicts with --serve");
-      }
-      if (algo_given && algo != "gbbs") {
-        throw Error(ErrorCategory::kUsage,
-                    "--updates repairs through the overlay-aware edge_map "
-                    "kernel; only -a gbbs applies");
-      }
-      algo = "gbbs";
-    }
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    double best_batch_seconds = 0;  // fastest batch trial, for set_batch
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph& g = loaded.graph;
-      if (batch_sources.empty() &&
-          static_cast<std::size_t>(source) >= g.num_vertices()) {
-        throw Error(ErrorCategory::kUsage,
-                    "source vertex " + std::to_string(source) +
-                        " out of range (graph has " +
-                        std::to_string(g.num_vertices()) + " vertices)");
-      }
-      Graph gt = g.transpose();
-      if (batch_sources.empty()) {
-        std::printf(
-            "graph: n=%zu m=%zu, source=%lld, algorithm=%s, workers=%d\n",
-            g.num_vertices(), g.num_edges(), source, algo.c_str(),
-            num_workers());
-      } else {
-        std::printf(
-            "graph: n=%zu m=%zu, batch of %zu sources, algorithm=%s, "
-            "workers=%d\n",
-            g.num_vertices(), g.num_edges(), batch_sources.size(),
-            algo.c_str(), num_workers());
-      }
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.source = static_cast<VertexId>(source);
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("bfs", algo, argv[1], g.num_vertices(), g.num_edges());
-        if (batch_sources.empty()) {
-          doc->set_param("source", static_cast<std::uint64_t>(source));
-        }
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      if (!batch_sources.empty()) {
-        BatchOptions bopt{batch_sources, aopt};
-        for (long long r = 0; r < common.repeats; ++r) {
-          BatchReport<std::vector<std::uint32_t>> report = ms_bfs(g, gt, bopt);
-          apps::print_stats(algo.c_str(), report.seconds, tracer);
-          std::printf("batch: %zu sources in %.4f s (%.1f queries/s)\n",
-                      report.batch_size(), report.seconds, report.qps());
-          doc->add_trial(report.seconds, report.telemetry);
-          if (r == 0 || report.seconds < best_batch_seconds) {
-            best_batch_seconds = report.seconds;
-          }
-          if (r == 0) {
-            for (std::size_t i = 0; i < report.per_source.size(); ++i) {
-              std::uint64_t reached = 0, ecc = 0;
-              for (auto d : report.per_source[i].output) {
-                if (d != kInfDist) {
-                  ++reached;
-                  ecc = std::max<std::uint64_t>(ecc, d);
-                }
-              }
-              std::printf(
-                  "batch source %u: reached %llu vertices, eccentricity "
-                  "%llu\n",
-                  batch_sources[i], (unsigned long long)reached,
-                  (unsigned long long)ecc);
-            }
-          }
-        }
-        continue;
-      }
-
-      if (!updates_path.empty()) {
-        // Baseline settle on the pristine graph, then batch-by-batch apply
-        // + in-place repair. Repeats don't apply: a batch folds into the
-        // overlay exactly once.
-        RunReport<std::vector<std::uint32_t>> base = gbbs_bfs(g, gt, aopt);
-        apps::print_stats("gbbs", base.seconds, tracer);
-        doc->add_trial(base.seconds, base.telemetry);
-        std::vector<std::uint32_t> dist = std::move(base.output);
-        std::vector<std::vector<EdgeUpdate>> log =
-            read_update_log(updates_path);
-        std::uint64_t resettled = 0, full_settled = 0;
-        bool fallback = false;
-        for (std::size_t b = 0; b < log.size(); ++b) {
-          apply_updates(g, log[b]);
-          Tracer repair_tracer;
-          auto t0 = std::chrono::steady_clock::now();
-          IncrementalStats st = incremental_bfs(
-              g, gt, static_cast<VertexId>(source), log[b], dist);
-          double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-          resettled += st.resettled;
-          full_settled += st.full_settled;
-          fallback = fallback || st.fallback;
-          std::printf("update batch %zu: %zu ops, resettled %llu of %llu "
-                      "vertices in %.4f s%s\n",
-                      b + 1, log[b].size(), (unsigned long long)st.resettled,
-                      (unsigned long long)st.full_settled, secs,
-                      st.fallback ? " (churn fallback: full recompute)" : "");
-          doc->add_trial(secs, repair_tracer.aggregate());
-        }
-        if (std::shared_ptr<const DeltaSnapshot> d =
-                g.storage() != nullptr ? g.storage()->delta_snapshot()
-                                       : nullptr) {
-          doc->set_delta(d->insert_count(), d->delete_count(), d->batches(),
-                         resettled, full_settled, fallback);
-        }
-        std::uint64_t reached = 0, ecc = 0;
-        for (auto dd : dist) {
-          if (dd != kInfDist) {
-            ++reached;
-            ecc = std::max<std::uint64_t>(ecc, dd);
-          }
-        }
-        std::printf("after updates: reached %llu vertices, eccentricity "
-                    "%llu\n",
-                    (unsigned long long)reached, (unsigned long long)ecc);
-        continue;
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<std::uint32_t>> report =
-            algo == "pasgal"  ? pasgal_bfs(g, gt, aopt)
-            : algo == "gbbs"  ? gbbs_bfs(g, gt, aopt)
-            : algo == "gapbs" ? gapbs_bfs(g, gt, aopt)
-                              : seq_bfs(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          std::uint64_t reached = 0, ecc = 0;
-          for (auto d : report.output) {
-            if (d != kInfDist) {
-              ++reached;
-              ecc = std::max<std::uint64_t>(ecc, d);
-            }
-          }
-          std::printf("reached %llu vertices, eccentricity %llu\n",
-                      (unsigned long long)reached, (unsigned long long)ecc);
-        }
-      }
-    }
-    if (!batch_sources.empty()) {
-      doc->set_batch(batch_sources, best_batch_seconds);
-    }
-    // The recorded load is the final open: warm when serving, so the
-    // document shows the steady-state cost (0 new bytes on a registry hit).
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
-  });
+  apps::Driver d("bfs");
+  d.opts.text("--updates", &d.updates, "updates.plog");
+  d.knob("-t", &d.aopt.vgc.tau, 1, 0xFFFFFFFFLL, "tau");
+  // The repair runs through the overlay-aware edge_map kernel.
+  d.repair_variant = &*std::ranges::find_if(catalog::variants("bfs"),
+                                            &catalog::Variant::overlay);
+  d.fallback_note = " (churn fallback: full recompute)";
+  d.repair = [&d](Graph&, const catalog::Inputs& in, catalog::Output& dist,
+                  std::span<const EdgeUpdate> batch) {
+    return incremental_bfs(in.g, in.gt, d.aopt.source, batch,
+                           std::get<std::vector<std::uint32_t>>(dist));
+  };
+  return d.main(argc, argv);
 }

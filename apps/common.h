@@ -217,8 +217,12 @@ inline Graph load_graph(const std::string& spec, bool validate) {
 // the load mode, mapped bytes, and load wall time so the zero-copy claim is
 // checkable from the metrics document alone.
 struct LoadedGraph {
-  Graph graph;
+  Graph graph;  // for a weighted load: the topology of `weighted`
+  WeightedGraph<std::uint32_t> weighted;  // weighted loads only
   std::string mode;  // "adj" | "bin" | "pgr-mmap" | "pgr-copy" | "generated"
+  // Weighted loads only: the weights came from the file's weights section
+  // ("file") or were generated in-process ("generated").
+  std::string weights_origin;
   // Bytes newly mapped by *this* load: the file size for a cold mmap open,
   // 0 for a registry hit (the mapping already existed) and for heap loads.
   std::uint64_t bytes_mapped = 0;
@@ -248,8 +252,10 @@ inline bool finish_load_accounting(const GraphRegistry::Stats& before,
 
 }  // namespace internal
 
+// `weights_section` reads a weighted .pgr's weights alongside the topology.
 inline LoadedGraph load_graph_timed(const std::string& spec,
-                                    const CommonOptions& common) {
+                                    const CommonOptions& common,
+                                    bool weights_section = false) {
   internal::apply_mem_limit(common);
   PgrShardSpec shard = internal::shard_spec(spec, common);
   auto t0 = std::chrono::steady_clock::now();
@@ -259,7 +265,14 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
     PgrOpen mode =
         common.load_mode == "copy" ? PgrOpen::kCopy : PgrOpen::kMmap;
     PgrOpenStats stats;
-    out.graph = read_pgr(spec, mode, common.validate, &stats, shard);
+    if (weights_section) {
+      out.weighted =
+          read_weighted_pgr(spec, mode, common.validate, &stats, shard);
+      out.graph = out.weighted.unweighted();
+      out.weights_origin = "file";
+    } else {
+      out.graph = read_pgr(spec, mode, common.validate, &stats, shard);
+    }
     out.compressed = stats.compressed;
     out.encoded_bytes = stats.encoded_target_bytes;
     out.decode_wall_ns = stats.decode_wall_ns;
@@ -284,25 +297,11 @@ inline LoadedGraph load_graph_timed(const std::string& spec,
   return out;
 }
 
-// A weighted graph plus provenance: weights either came from the file's
-// weights section ("file") or were generated in-process ("generated").
-struct LoadedWeightedGraph {
-  WeightedGraph<std::uint32_t> graph;
-  std::string mode;
-  std::string weights_origin;  // "file" | "generated"
-  std::uint64_t bytes_mapped = 0;
-  double seconds = 0;
-  bool registry_hit = false;
-  bool compressed = false;  // see LoadedGraph
-  std::uint64_t encoded_bytes = 0;
-  std::uint64_t decode_wall_ns = 0;
-};
-
 // Weighted load for the sssp driver: a weighted `.pgr` supplies its own
 // weights section (zero-copy alongside the topology); everything else loads
 // the topology and attaches deterministic generated weights. Passing -w
 // with a weighted file is a usage error — the flag could not take effect.
-inline LoadedWeightedGraph load_weighted_graph_timed(
+inline LoadedGraph load_weighted_graph_timed(
     const std::string& spec, const CommonOptions& common,
     std::uint32_t max_weight, bool max_weight_given) {
   internal::apply_mem_limit(common);
@@ -313,32 +312,7 @@ inline LoadedWeightedGraph load_weighted_graph_timed(
                       "': the file carries a weights section; drop -w to use "
                       "it, or convert the graph without --weights");
     }
-    PgrShardSpec shard = internal::shard_spec(spec, common);
-    auto t0 = std::chrono::steady_clock::now();
-    GraphRegistry::Stats before = GraphRegistry::instance().stats();
-    LoadedWeightedGraph out;
-    PgrOpen mode =
-        common.load_mode == "copy" ? PgrOpen::kCopy : PgrOpen::kMmap;
-    PgrOpenStats stats;
-    out.graph = read_weighted_pgr(spec, mode, common.validate, &stats, shard);
-    out.compressed = stats.compressed;
-    out.encoded_bytes = stats.encoded_target_bytes;
-    out.decode_wall_ns = stats.decode_wall_ns;
-    out.mode = mode == PgrOpen::kCopy ? "pgr-copy" : "pgr-mmap";
-    out.weights_origin = "file";
-    if (common.validate) {
-      std::printf("validate: ok (n=%zu m=%zu)\n", out.graph.num_vertices(),
-                  out.graph.num_edges());
-    }
-    out.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (out.graph.unweighted().storage() != nullptr) {
-      out.bytes_mapped = out.graph.unweighted().storage()->bytes_mapped();
-    }
-    out.registry_hit =
-        internal::finish_load_accounting(before, out.bytes_mapped);
-    return out;
+    return load_graph_timed(spec, common, /*weights_section=*/true);
   }
   LoadedGraph base = load_graph_timed(spec, common);
   if (base.graph.windowed()) {
@@ -350,78 +324,36 @@ inline LoadedWeightedGraph load_weighted_graph_timed(
                     "every edge target — impossible through a sharded "
                     "compressed open; convert with --weights to embed them");
   }
-  LoadedWeightedGraph out;
-  out.graph = gen::add_weights(base.graph, max_weight);
-  out.mode = base.mode;
-  out.weights_origin = "generated";
-  out.bytes_mapped = base.bytes_mapped;
-  out.seconds = base.seconds;
-  out.registry_hit = base.registry_hit;
-  out.compressed = base.compressed;
-  out.encoded_bytes = base.encoded_bytes;
-  out.decode_wall_ns = base.decode_wall_ns;
-  return out;
+  base.weighted = gen::add_weights(base.graph, max_weight);
+  base.graph = base.weighted.unweighted();
+  base.weights_origin = "generated";
+  return base;
 }
 
-inline void record_load_params(MetricsDoc& doc, const std::string& mode,
-                               std::uint64_t bytes_mapped, double seconds) {
-  doc.set_param("load_mode", mode);
-  doc.set_param("load_bytes_mapped", bytes_mapped);
-  doc.set_param("load_wall_ns", static_cast<std::uint64_t>(seconds * 1e9));
-}
-
-// Compression trio (schema-checked to travel together): emitted only for
-// compressed .pgr loads. The ratio compares the raw targets array the file
-// would have carried uncompressed against the encoded section actually on
-// disk; decode_wall_ns is 0 when this open reused a registry-shared storage
-// whose targets were already decoded.
-inline void record_compression(MetricsDoc& doc, std::uint64_t num_edges,
-                               std::uint64_t encoded_bytes,
-                               std::uint64_t decode_wall_ns) {
-  std::uint64_t raw_bytes = num_edges * sizeof(VertexId);
-  doc.set_param("encoded_bytes", encoded_bytes);
-  doc.set_param("compression_ratio",
-                encoded_bytes == 0
-                    ? 1.0
-                    : static_cast<double>(raw_bytes) /
-                          static_cast<double>(encoded_bytes));
-  doc.set_param("decode_wall_ns", decode_wall_ns);
-}
-
+// Load params: mode, newly mapped bytes, wall time, weights provenance, and
+// for compressed .pgr loads the compression trio (schema-checked to travel
+// together). The ratio compares the raw targets array the file would have
+// carried uncompressed against the encoded section actually on disk;
+// decode_wall_ns is 0 when this open reused a registry-shared storage whose
+// targets were already decoded.
 inline void record_load(MetricsDoc& doc, const LoadedGraph& loaded) {
-  record_load_params(doc, loaded.mode, loaded.bytes_mapped, loaded.seconds);
+  doc.set_param("load_mode", loaded.mode);
+  doc.set_param("load_bytes_mapped", loaded.bytes_mapped);
+  doc.set_param("load_wall_ns",
+                static_cast<std::uint64_t>(loaded.seconds * 1e9));
+  if (!loaded.weights_origin.empty()) {
+    doc.set_param("weights", loaded.weights_origin);
+  }
   if (loaded.compressed) {
-    record_compression(doc, loaded.graph.num_edges(), loaded.encoded_bytes,
-                       loaded.decode_wall_ns);
+    std::uint64_t raw_bytes = loaded.graph.num_edges() * sizeof(VertexId);
+    doc.set_param("encoded_bytes", loaded.encoded_bytes);
+    doc.set_param("compression_ratio",
+                  loaded.encoded_bytes == 0
+                      ? 1.0
+                      : static_cast<double>(raw_bytes) /
+                            static_cast<double>(loaded.encoded_bytes));
+    doc.set_param("decode_wall_ns", loaded.decode_wall_ns);
   }
-}
-
-inline void record_load(MetricsDoc& doc, const LoadedWeightedGraph& loaded) {
-  record_load_params(doc, loaded.mode, loaded.bytes_mapped, loaded.seconds);
-  doc.set_param("weights", loaded.weights_origin);
-  if (loaded.compressed) {
-    record_compression(doc, loaded.graph.num_edges(), loaded.encoded_bytes,
-                       loaded.decode_wall_ns);
-  }
-}
-
-// Shard-at-a-time accounting: when the open was sharded (the storage carries
-// a plan + window), emits the top-level "shard" metrics object. Activation
-// counters are summed over the forward window and the transpose's own window
-// (when the file carried transpose sections), so shard_sweeps reflects every
-// window move the run paid for. Call once, after the trials.
-inline void record_shard(MetricsDoc& doc, const Graph& g) {
-  const StorageRef& storage = g.storage();
-  if (storage == nullptr || storage->shard_window() == nullptr) return;
-  const MappedWindow& w = *storage->shard_window();
-  std::uint64_t sweeps = w.sweeps();
-  std::uint64_t faults = w.faults();
-  if (StorageRef t = storage->transpose_cache();
-      t != nullptr && t->shard_window() != nullptr) {
-    sweeps += t->shard_window()->sweeps();
-    faults += t->shard_window()->faults();
-  }
-  doc.set_shard(w.plan().size(), w.plan().window_bytes(), sweeps, faults);
 }
 
 // --- serving-mode harness ----------------------------------------------------
@@ -450,7 +382,7 @@ inline void install_serve_stop_handlers() {
 // one process, as a cold-vs-warm harness for the GraphRegistry. The cold
 // open of a mmap'ed .pgr is pinned, so the mapping survives the Graph being
 // dropped between iterations and every warm open is a registry hit mapping
-// zero new bytes. Usage pattern (see the drivers):
+// zero new bytes. Usage pattern (see Driver::main in driver.h):
 //
 //   ServeHarness serve(argv[1], common);
 //   while (serve.next()) {
@@ -492,10 +424,9 @@ class ServeHarness {
     return out;
   }
 
-  LoadedWeightedGraph open_weighted(const CommonOptions& common,
-                                    std::uint32_t max_weight,
-                                    bool max_weight_given) {
-    LoadedWeightedGraph out = load_weighted_graph_timed(
+  LoadedGraph open_weighted(const CommonOptions& common,
+                            std::uint32_t max_weight, bool max_weight_given) {
+    LoadedGraph out = load_weighted_graph_timed(
         spec_, common, max_weight, max_weight_given);
     note_open(out.mode, out.registry_hit, out.bytes_mapped);
     return out;

@@ -2,80 +2,16 @@
 // executables). The input graph is symmetrized automatically: coreness is
 // defined on undirected graphs.
 //
-//   kcore <graph> [-a pasgal|seq] [-t tau] [-r repeats] [--serve N]
+//   kcore <graph> [-a <variant>] [-t tau] [-r repeats] [--serve N]
 //         [--validate] [--json-metrics <path>]
 //
-// Exit codes: 0 ok / 1 internal / 2 usage / 3 bad input / 4 resource.
-#include <optional>
-
-#include "algorithms/kcore/kcore.h"
-#include "common.h"
-
-using namespace pasgal;
+// Variants and their inputs come from the catalog (algorithms/catalog.h);
+// the run path is apps/driver.h. Exit codes: 0 ok / 1 internal / 2 usage /
+// 3 bad input / 4 resource.
+#include "driver.h"
 
 int main(int argc, char** argv) {
-  std::string algo = "pasgal";
-  long long tau = 512;
-  cli::OptionSet opts;
-  cli::CommonOptions common;
-  opts.choice("-a", &algo, {"pasgal", "seq"})
-      .integer("-t", &tau, 1, 0xFFFFFFFFLL, "tau");
-  common.declare(opts);
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <graph> %s\n", argv[0],
-                 opts.usage().c_str());
-    return 2;
-  }
-  return apps::run_app([&]() {
-    opts.parse(argc, argv, 2);
-
-    apps::ServeHarness serve(argv[1], common);
-    apps::LoadedGraph loaded;
-    std::optional<MetricsDoc> doc;
-    while (serve.next()) {
-      loaded = serve.open(common);
-      Graph g = loaded.graph.symmetrize();
-      std::printf(
-          "graph (symmetrized): n=%zu m=%zu, algorithm=%s, workers=%d\n",
-          g.num_vertices(), g.num_edges(), algo.c_str(), num_workers());
-      std::printf("load: %s in %.4f s (%llu bytes mapped)\n",
-                  loaded.mode.c_str(), loaded.seconds,
-                  (unsigned long long)loaded.bytes_mapped);
-
-      Tracer tracer;
-      AlgoOptions aopt;
-      aopt.vgc.tau = static_cast<std::uint32_t>(tau);
-      aopt.validate = common.validate;
-      aopt.tracer = &tracer;
-
-      if (!doc) {
-        doc.emplace("kcore", algo, argv[1], g.num_vertices(), g.num_edges());
-        doc->set_param("tau", static_cast<std::uint64_t>(tau));
-      }
-
-      for (long long r = 0; r < common.repeats; ++r) {
-        RunReport<std::vector<std::uint32_t>> report =
-            algo == "pasgal" ? pasgal_kcore(g, aopt) : seq_kcore(g, aopt);
-        apps::print_stats(algo.c_str(), report.seconds, tracer);
-        doc->add_trial(report.seconds, report.telemetry);
-        if (r == 0) {
-          std::uint32_t max_core = 0;
-          for (std::uint32_t c : report.output) {
-            max_core = std::max(max_core, c);
-          }
-          std::size_t in_max = 0;
-          for (std::uint32_t c : report.output) {
-            if (c == max_core) ++in_max;
-          }
-          std::printf("max coreness %u, %zu vertices in the max core\n",
-                      max_core, in_max);
-        }
-      }
-    }
-    apps::record_load(*doc, loaded);
-    apps::record_shard(*doc, loaded.graph);
-    serve.record(*doc);
-    apps::finish_metrics(common, *doc);
-    return 0;
-  });
+  pasgal::apps::Driver d("kcore");
+  d.knob("-t", &d.aopt.vgc.tau, 1, 0xFFFFFFFFLL, "tau");
+  return d.main(argc, argv);
 }

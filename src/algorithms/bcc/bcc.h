@@ -30,6 +30,8 @@ struct BccResult {
   // edge_label[e] for every directed edge slot e; labels are arbitrary ids.
   std::vector<std::uint64_t> edge_label;
   std::size_t num_bccs = 0;
+
+  bool operator==(const BccResult&) const = default;
 };
 
 BccResult hopcroft_tarjan_bcc(const Graph& g, RunStats* stats = nullptr);

@@ -44,6 +44,8 @@ struct PagerankResult {
   std::vector<double> rank;     // sums to 1 (within rounding)
   std::uint32_t iterations = 0; // rounds actually executed
   double delta = 0;             // L1 delta of the final round
+
+  bool operator==(const PagerankResult&) const = default;
 };
 
 // Sequential power iteration over explicit in-edges (gt). In-core only.

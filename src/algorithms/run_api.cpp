@@ -5,8 +5,12 @@
 // tracer plumbing and the wall-clock/telemetry bookkeeping. The legacy
 // `(..., Params, RunStats*)` signatures remain the implementations.
 
+#include <chrono>
+#include <unordered_set>
+
 #include "algorithms/bcc/bcc.h"
 #include "algorithms/bfs/bfs.h"
+#include "algorithms/catalog.h"
 #include "algorithms/cc/cc.h"
 #include "algorithms/cc/ldd.h"
 #include "algorithms/kcore/kcore.h"
@@ -14,25 +18,22 @@
 #include "algorithms/scc/scc.h"
 #include "algorithms/sssp/sssp.h"
 #include "algorithms/tc/tc.h"
-#include <chrono>
-#include <unordered_set>
-
 #include "algorithms/toposort/toposort.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
 
 namespace pasgal {
 
-// Every wrapper lazily validates its graph(s) before the timed run: the O(1)
-// mmap open path defers per-element CSR checks, and this is the single choke
-// point where all modern entry points pick them up (no-op after the first
-// call on a given storage handle; see Graph::ensure_validated).
-//
-// Wrappers whose kernels random-access the CSR arrays also guard with
-// ensure_no_delta: on a graph carrying a pending update overlay
-// (graphs/delta.h) they would silently compute against the stale base.
-// Only the edge_map-pure families (gbbs-bfs, pagerank) and the symmetrizing
-// cc driver path (symmetrize() collapses the overlay) see overlays through.
+// Every wrapper starts with catalog::check_inputs under its catalog label:
+// the single choke point where the modern entry points lazily validate
+// their graph(s) (the O(1) mmap open path defers per-element CSR checks; a
+// no-op after the first call on a storage handle, see
+// Graph::ensure_validated) and apply the row's in_core and overlay columns.
+// A variant whose kernel random-accesses the CSR arrays rejects sharded
+// opens; one that reads the base CSR directly rejects a pending update
+// overlay (graphs/delta.h), against which it would silently compute on the
+// stale base. Toposort has no catalog row (no driver runs it) and applies
+// the same two guards directly.
 
 namespace {
 
@@ -104,17 +105,14 @@ void check_batch_sources(std::span<const VertexId> sources, std::size_t n) {
 
 RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
                                               const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-bfs");
-  g.ensure_no_delta("seq-bfs");
+  catalog::check_inputs("seq-bfs", g);
   return run_traced(opt,
                     [&](Tracer* t) { return seq_bfs(g, opt.source, t); });
 }
 
 RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
+  catalog::check_inputs("gbbs-bfs", g, &gt);
   return run_traced(opt, [&](Tracer* t) {
     return gbbs_bfs(g, gt, opt.source, t, opt.cancel);
   });
@@ -122,10 +120,7 @@ RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  gt.ensure_in_core("gapbs-bfs bottom-up");
-  g.ensure_no_delta("gapbs-bfs");
+  catalog::check_inputs("gapbs-bfs", g, &gt);
   GapbsParams p{opt.gapbs_alpha, opt.gapbs_beta};
   return run_traced(
       opt, [&](Tracer* t) { return gapbs_bfs(g, gt, opt.source, p, t); });
@@ -134,11 +129,7 @@ RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("pasgal-bfs");
-  gt.ensure_in_core("pasgal-bfs");
-  g.ensure_no_delta("pasgal-bfs");
+  catalog::check_inputs("pasgal-bfs", g, &gt);
   PasgalBfsParams p = bfs_params(opt);
   return run_traced(
       opt, [&](Tracer* t) { return pasgal_bfs(g, gt, opt.source, p, t); });
@@ -146,10 +137,7 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
 
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("ms-bfs");
-  g.ensure_no_delta("ms-bfs");
+  catalog::check_inputs("ms-bfs", g, &gt, /*batch=*/true);
   check_batch_sources(opt.sources, g.num_vertices());
   MsBfsParams p;
   p.dense_threshold_den = opt.algo.dense_threshold_den;
@@ -181,24 +169,21 @@ BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("dijkstra");
+  catalog::check_inputs("dijkstra", g);
   return run_traced(opt,
                     [&](Tracer* t) { return dijkstra(g, opt.source, t); });
 }
 
 RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                           const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("bellman-ford (use -a em for sharded runs)");
+  catalog::check_inputs("bellman-ford", g);
   return run_traced(
       opt, [&](Tracer* t) { return bellman_ford(g, opt.source, t); });
 }
 
 RunReport<std::vector<Dist>> stepping_sssp(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("stepping SSSP (use -a em for sharded runs)");
+  catalog::check_inputs("stepping SSSP", g);
   SteppingParams p = stepping_params(opt);
   return run_traced(
       opt, [&](Tracer* t) { return stepping_sssp(g, opt.source, p, t); });
@@ -206,8 +191,7 @@ RunReport<std::vector<Dist>> stepping_sssp(
 
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt) {
-  g.ensure_validated();
-  g.unweighted().ensure_in_core("batched SSSP");
+  catalog::check_inputs("stepping SSSP", g, /*batch=*/true);
   check_batch_sources(opt.sources, g.num_vertices());
   SteppingParams p = stepping_params(opt.algo);
   Tracer local;
@@ -238,19 +222,13 @@ BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
 
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("tarjan-scc");
-  g.ensure_no_delta("tarjan-scc");
+  catalog::check_inputs("tarjan-scc", g);
   return run_traced(opt, [&](Tracer* t) { return tarjan_scc(g, t); });
 }
 
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
                                             const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("pasgal-scc");
-  gt.ensure_in_core("pasgal-scc");
-  g.ensure_no_delta("pasgal-scc");
+  catalog::check_inputs("pasgal-scc", g, &gt);
   SccParams p = scc_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return pasgal_scc(g, gt, p, t); });
@@ -258,22 +236,14 @@ RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
 
 RunReport<std::vector<SccLabel>> gbbs_scc(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("gbbs-scc");
-  gt.ensure_in_core("gbbs-scc");
-  g.ensure_no_delta("gbbs-scc");
+  catalog::check_inputs("gbbs-scc", g, &gt);
   SccParams p = scc_params(opt);
   return run_traced(opt, [&](Tracer* t) { return gbbs_scc(g, gt, p, t); });
 }
 
 RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  g.ensure_in_core("multistep-scc");
-  gt.ensure_in_core("multistep-scc");
-  g.ensure_no_delta("multistep-scc");
+  catalog::check_inputs("multistep-scc", g, &gt);
   MultistepParams p{opt.multistep_cutoff};
   return run_traced(opt,
                     [&](Tracer* t) { return multistep_scc(g, gt, p, t); });
@@ -283,31 +253,23 @@ RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
 
 RunReport<BccResult> hopcroft_tarjan_bcc(const Graph& g,
                                          const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("hopcroft-tarjan-bcc");
-  g.ensure_no_delta("hopcroft-tarjan-bcc");
+  catalog::check_inputs("hopcroft-tarjan-bcc", g);
   return run_traced(opt, [&](Tracer* t) { return hopcroft_tarjan_bcc(g, t); });
 }
 
 RunReport<BccResult> fast_bcc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("fast-bcc");
-  g.ensure_no_delta("fast-bcc");
+  catalog::check_inputs("fast-bcc", g);
   return run_traced(opt, [&](Tracer* t) { return fast_bcc(g, t); });
 }
 
 RunReport<BccResult> tarjan_vishkin_bcc(const Graph& g,
                                         const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("tarjan-vishkin-bcc");
-  g.ensure_no_delta("tarjan-vishkin-bcc");
+  catalog::check_inputs("tarjan-vishkin-bcc", g);
   return run_traced(opt, [&](Tracer* t) { return tarjan_vishkin_bcc(g, t); });
 }
 
 RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("gbbs-bcc");
-  g.ensure_no_delta("gbbs-bcc");
+  catalog::check_inputs("gbbs-bcc", g);
   return run_traced(opt, [&](Tracer* t) { return gbbs_bcc(g, t); });
 }
 
@@ -315,25 +277,19 @@ RunReport<BccResult> gbbs_bcc(const Graph& g, const AlgoOptions& opt) {
 
 RunReport<ConnectivityResult> connected_components(const Graph& g,
                                                    const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("connected-components");
-  g.ensure_no_delta("connected-components");
+  catalog::check_inputs("connected-components", g);
   return run_traced(opt, [&](Tracer* t) { return connected_components(g, t); });
 }
 
 RunReport<std::vector<VertexId>> label_prop_cc(const Graph& g,
                                                const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("label-prop-cc");
-  g.ensure_no_delta("label-prop-cc");
+  catalog::check_inputs("label-prop-cc", g);
   return run_traced(opt, [&](Tracer* t) { return label_prop_cc(g, t); });
 }
 
 RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
                                         const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("ldd-cc");
-  g.ensure_no_delta("ldd-cc");
+  catalog::check_inputs("ldd-cc", g);
   return run_traced(opt, [&](Tracer* t) {
     return ldd_cc(g, opt.scc_beta, opt.scc_seed, t);
   });
@@ -343,17 +299,13 @@ RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
 
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
                                                 const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-kcore");
-  g.ensure_no_delta("seq-kcore");
+  catalog::check_inputs("seq-kcore", g);
   return run_traced(opt, [&](Tracer* t) { return seq_kcore(g, t); });
 }
 
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("pasgal-kcore");
-  g.ensure_no_delta("pasgal-kcore");
+  catalog::check_inputs("pasgal-kcore", g);
   KcoreParams p{opt.vgc};
   return run_traced(opt, [&](Tracer* t) { return pasgal_kcore(g, p, t); });
 }
@@ -375,9 +327,7 @@ PagerankParams pagerank_params(const AlgoOptions& opt) {
 
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
                                        const AlgoOptions& opt) {
-  g.ensure_validated();
-  gt.ensure_validated();
-  gt.ensure_in_core("seq-pagerank (use -a pasgal for sharded runs)");
+  catalog::check_inputs("seq-pagerank", g, &gt);
   PagerankParams p = pagerank_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return seq_pagerank(g, gt, p, t); });
@@ -385,10 +335,7 @@ RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
 
 RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
-  // No ensure_in_core: the dense pull runs shard-at-a-time through gt's
-  // window (out-degrees come from g's always-resident offsets array).
-  g.ensure_validated();
-  gt.ensure_validated();
+  catalog::check_inputs("pasgal-pagerank", g, &gt);
   PagerankParams p = pagerank_params(opt);
   return run_traced(opt,
                     [&](Tracer* t) { return pasgal_pagerank(g, gt, p, t); });
@@ -397,16 +344,12 @@ RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
 // --- triangle counting -------------------------------------------------------
 
 RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("seq-tc");
-  g.ensure_no_delta("seq-tc");
+  catalog::check_inputs("seq-tc", g);
   return run_traced(opt, [&](Tracer* t) { return seq_tc(g, t); });
 }
 
 RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
-  g.ensure_validated();
-  g.ensure_in_core("pasgal-tc");
-  g.ensure_no_delta("pasgal-tc");
+  catalog::check_inputs("pasgal-tc", g);
   TcParams p;
   p.cancel = opt.cancel;
   return run_traced(opt, [&](Tracer* t) { return pasgal_tc(g, p, t); });

@@ -1,5 +1,6 @@
 #include <atomic>
 
+#include "algorithms/catalog.h"
 #include "algorithms/sssp/sssp.h"
 #include "parlay/primitives.h"
 #include "pasgal/edge_map.h"
@@ -54,7 +55,7 @@ std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
 
 RunReport<std::vector<Dist>> em_bellman_ford(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  g.ensure_validated();
+  catalog::check_inputs("em-bellman-ford", g);
   return run_traced(opt, [&](Tracer* t) {
     return em_bellman_ford(g, opt.source, opt.cancel, t);
   });

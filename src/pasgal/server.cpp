@@ -14,13 +14,7 @@
 #include <set>
 #include <utility>
 
-#include "algorithms/bfs/bfs.h"
-#include "algorithms/cc/cc.h"
-#include "algorithms/cc/ldd.h"
-#include "algorithms/kcore/kcore.h"
-#include "algorithms/pagerank/pagerank.h"
-#include "algorithms/sssp/sssp.h"
-#include "algorithms/tc/tc.h"
+#include "algorithms/catalog.h"
 #include "graphs/delta.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
@@ -136,34 +130,6 @@ std::uint64_t windowed_need(const PgrInfo& info, std::uint64_t window) {
   std::uint64_t need = per + (info.compressed ? window : 0);
   if (info.has_transpose) need += per;
   return need;
-}
-
-// The "shard" metrics object for a sharded query response (same shape the
-// drivers emit via apps::record_shard): plan size + window budget and the
-// activation counters summed over forward + transpose windows.
-void record_shard(MetricsDoc& doc, const Graph& g) {
-  const StorageRef& storage = g.storage();
-  if (storage == nullptr || storage->shard_window() == nullptr) return;
-  const MappedWindow& w = *storage->shard_window();
-  std::uint64_t sweeps = w.sweeps();
-  std::uint64_t faults = w.faults();
-  if (StorageRef t = storage->transpose_cache();
-      t != nullptr && t->shard_window() != nullptr) {
-    sweeps += t->shard_window()->sweeps();
-    faults += t->shard_window()->faults();
-  }
-  doc.set_shard(w.plan().size(), w.plan().window_bytes(), sweeps, faults);
-}
-
-// The "delta" metrics object for a query answered through an update overlay:
-// overlay size as the algorithm saw it. The repair triple is zero here —
-// only the drivers' incremental --updates path re-settles selectively.
-void record_delta(MetricsDoc& doc, const Graph& g) {
-  if (g.storage() == nullptr) return;
-  std::shared_ptr<const DeltaSnapshot> d = g.storage()->delta_snapshot();
-  if (d == nullptr) return;
-  doc.set_delta(d->insert_count(), d->delete_count(), d->batches(), 0, 0,
-                false);
 }
 
 // update's add=/del= values: comma-separated from:to pairs, each vertex a
@@ -371,15 +337,16 @@ std::string Server::handle_request(const std::string& line) {
     if (req.cmd == "open") {
       check_vocabulary(req, {"graph"}, {"pin"});
       out = do_open(require_graph(req), req.flags.count("pin") != 0);
-    } else if (req.cmd == "bfs" || req.cmd == "sssp") {
-      check_vocabulary(req, {"graph", "source", "sources", "algo",
-                             "deadline_ms"}, {});
+    } else if (catalog::serves(req.cmd)) {
+      if (catalog::find_family(req.cmd)->single_source) {
+        check_vocabulary(req, {"graph", "source", "sources", "algo",
+                               "deadline_ms"}, {});
+      } else {
+        check_vocabulary(req, {"graph", "algo", "deadline_ms"}, {});
+      }
+      std::string path = require_graph(req);
+      std::vector<std::uint32_t> sources;
       if (auto batch = req.kv.find("sources"); batch != req.kv.end()) {
-        // Resolve the graph before the source list so every sources= error
-        // below can carry it: a client multiplexing several graphs over one
-        // connection cannot tell which request a bare "duplicate source"
-        // line belonged to.
-        std::string path = require_graph(req);
         if (req.kv.count("source") != 0) {
           throw Error(ErrorCategory::kUsage,
                       req.cmd + ": source= conflicts with sources= (give one "
@@ -389,45 +356,29 @@ std::string Server::handle_request(const std::string& line) {
         // allow_file=false: a remote peer must not name paths on the serving
         // host. Oversized lists and duplicates are typed kUsage errors here,
         // never silently truncated.
-        std::vector<std::uint32_t> sources;
         try {
           sources = cli::parse_sources(batch->second, /*allow_file=*/false);
         } catch (const Error& e) {
           // parse_sources knows nothing about graphs; re-raise with the
-          // graph as file context ("[usage] <graph>: <message>").
+          // graph as file context ("[usage] <graph>: <message>") — a client
+          // multiplexing several graphs over one connection cannot tell
+          // which request a bare "duplicate source" line belonged to.
           std::string msg = e.what();
           std::string prefix = std::string("[") + to_string(e.category()) +
                                "] ";
           if (msg.rfind(prefix, 0) == 0) msg = msg.substr(prefix.size());
           throw Error(e.category(), req.cmd + ": " + msg, path);
         }
-        std::string algo = req.cmd == "bfs" ? "ms" : "rho";
-        if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-          algo = it->second;
-        }
-        out = do_batch(req.cmd, path, sources, algo,
-                       kv_int(req, "deadline_ms", opts_.default_deadline_ms,
-                              1LL << 40));
-      } else {
-        std::string algo = req.cmd == "bfs" ? "pasgal" : "rho";
-        if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-          algo = it->second;
-        }
-        out = do_query(req.cmd, require_graph(req),
-                       kv_int(req, "source", 0, (1LL << 32) - 1), algo,
-                       kv_int(req, "deadline_ms", opts_.default_deadline_ms,
-                              1LL << 40));
       }
-    } else if (req.cmd == "cc" || req.cmd == "kcore" ||
-               req.cmd == "pagerank" || req.cmd == "tc") {
-      check_vocabulary(req, {"graph", "algo", "deadline_ms"}, {});
-      std::string algo = req.cmd == "cc" ? "uf" : "pasgal";
-      if (auto it = req.kv.find("algo"); it != req.kv.end()) {
-        algo = it->second;
-      }
-      out = do_family_query(req.cmd, require_graph(req), algo,
-                            kv_int(req, "deadline_ms",
-                                   opts_.default_deadline_ms, 1LL << 40));
+      std::uint64_t source = kv_int(req, "source", 0, (1LL << 32) - 1);
+      std::uint64_t deadline_ms =
+          kv_int(req, "deadline_ms", opts_.default_deadline_ms, 1LL << 40);
+      // Resolved before any I/O: a typo'd algo= must not run admission
+      // (which may LRU-evict another client's graph) or map a file.
+      auto algo = req.kv.find("algo");
+      const catalog::Variant& variant = catalog::served(
+          req.cmd, algo == req.kv.end() ? "" : algo->second, !sources.empty());
+      out = do_query(variant, path, source, sources, deadline_ms);
     } else if (req.cmd == "update") {
       check_vocabulary(req, {"graph", "add", "del", "deadline_ms"}, {});
       auto add_it = req.kv.find("add");
@@ -585,8 +536,9 @@ std::string Server::do_open(const std::string& path, bool pin) {
   return out;
 }
 
-std::string Server::do_query(const std::string& cmd, const std::string& path,
-                             std::uint64_t source, const std::string& algo,
+std::string Server::do_query(const catalog::Variant& variant,
+                             const std::string& path, std::uint64_t source,
+                             const std::vector<std::uint32_t>& sources,
                              std::uint64_t deadline_ms) {
   PgrShardSpec spec = ensure_open(path);
 
@@ -596,185 +548,49 @@ std::string Server::do_query(const std::string& cmd, const std::string& path,
   AlgoOptions opt;
   opt.source = static_cast<VertexId>(source);
   opt.cancel = &token;
+  const catalog::Family& family = *variant.family;
+  bool batch = !sources.empty();
 
   // One external thread at a time may drive the work-stealing pool (all
   // non-pool threads share worker slot 0); everything below — validation,
   // transpose, the run itself — is parallel.
   std::lock_guard<std::mutex> exec(exec_mu_);
 
-  if (cmd == "bfs") {
-    // In-core: registry hit sharing the retained mapping. Sharded: a fresh
-    // windowed open owned by this query alone.
-    Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    if (source >= g.num_vertices()) {
-      throw Error(ErrorCategory::kUsage,
-                  "source=" + std::to_string(source) + " out of range (n=" +
-                      std::to_string(g.num_vertices()) + ")");
-    }
-    Graph gt = g.transpose();  // memoized on the shared storage handle
-    RunReport<std::vector<std::uint32_t>> report;
-    if (algo == "pasgal") {
-      report = pasgal_bfs(g, gt, opt);
-    } else if (algo == "gbbs") {
-      report = gbbs_bfs(g, gt, opt);
-    } else {
-      throw Error(ErrorCategory::kUsage,
-                  "bfs: unknown algo '" + algo + "' (expected pasgal|gbbs)");
-    }
-    MetricsDoc doc("bfs", algo, path, g.num_vertices(), g.num_edges());
-    doc.set_param("source", source);
-    if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    record_delta(doc, g);
-    return doc.to_json();
+  // In-core: registry hit sharing the retained mapping. Sharded: a fresh
+  // windowed open owned by this query alone. A weighted variant needs the
+  // file's weights section (typed error otherwise).
+  Graph g;
+  WeightedGraph<std::uint32_t> wg;
+  if (variant.input == catalog::Input::kWeighted) {
+    wg = read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
+    g = wg.unweighted();
+  } else {
+    g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
   }
-
-  // sssp: the file must carry a weights section (typed error otherwise).
-  if (algo != "rho" && algo != "delta" && algo != "em") {
-    throw Error(ErrorCategory::kUsage,
-                "sssp: unknown algo '" + algo + "' (expected rho|delta|em)");
-  }
-  WeightedGraph<std::uint32_t> wg =
-      read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  if (source >= wg.num_vertices()) {
+  // Batch sources are range-checked by the batch kernels (typed kUsage).
+  if (family.single_source && !batch && source >= g.num_vertices()) {
     throw Error(ErrorCategory::kUsage,
                 "source=" + std::to_string(source) + " out of range (n=" +
-                    std::to_string(wg.num_vertices()) + ")");
+                    std::to_string(g.num_vertices()) + ")");
   }
-  opt.sssp_delta_mode = algo == "delta";
-  RunReport<std::vector<Dist>> report =
-      algo == "em" ? em_bellman_ford(wg, opt) : stepping_sssp(wg, opt);
-  MetricsDoc doc("sssp", algo, path, wg.num_vertices(), wg.num_edges());
-  doc.set_param("source", source);
+  // The transpose is memoized on the shared storage handle. symmetrize()
+  // needs the whole edge set in core, so on a sharded open it throws the
+  // typed kUsage error instead of silently faulting past the window.
+  catalog::Inputs in = catalog::prepare(variant.input, g, wg);
+  catalog::Run run = batch ? variant.run_batch(in, BatchOptions{sources, opt})
+                           : variant.run(in, opt);
+
+  MetricsDoc doc(family.name, variant.name, path, g.num_vertices(),
+                 g.num_edges());
+  if (family.single_source && !batch) doc.set_param("source", source);
   if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-  doc.add_trial(report.seconds, report.telemetry);
-  record_shard(doc, wg.unweighted());
-  return doc.to_json();
-}
-
-std::string Server::do_batch(const std::string& cmd, const std::string& path,
-                             const std::vector<std::uint32_t>& sources,
-                             const std::string& algo,
-                             std::uint64_t deadline_ms) {
-  PgrShardSpec spec = ensure_open(path);
-
-  CancelToken token;
-  if (deadline_ms != 0) token.set_deadline_ms(deadline_ms);
-
-  BatchOptions bopt;
-  bopt.sources = sources;
-  bopt.algo.cancel = &token;
-
-  std::lock_guard<std::mutex> exec(exec_mu_);
-
-  if (cmd == "bfs") {
-    if (algo != "ms") {
-      throw Error(ErrorCategory::kUsage,
-                  "bfs: algo '" + algo +
-                      "' has no batch mode (sources= runs the bit-parallel "
-                      "ms kernel)");
-    }
-    Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-    Graph gt = g.transpose();
-    // ms_bfs range-checks the sources against this graph (typed kUsage).
-    BatchReport<std::vector<std::uint32_t>> report = ms_bfs(g, gt, bopt);
-    MetricsDoc doc("bfs", algo, path, g.num_vertices(), g.num_edges());
-    if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-    doc.set_batch(sources, report.seconds);
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    return doc.to_json();
+  if (batch) doc.set_batch(sources, run.seconds);
+  if (family.result_params != nullptr) {
+    family.result_params(run.outputs.front(), doc);
   }
-
-  if (algo != "rho" && algo != "delta") {
-    throw Error(ErrorCategory::kUsage,
-                "sssp: unknown algo '" + algo + "' (expected rho|delta)");
-  }
-  WeightedGraph<std::uint32_t> wg =
-      read_weighted_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  bopt.algo.sssp_delta_mode = algo == "delta";
-  BatchReport<std::vector<Dist>> report = batch_sssp(wg, bopt);
-  MetricsDoc doc("sssp", algo, path, wg.num_vertices(), wg.num_edges());
-  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-  doc.set_batch(sources, report.seconds);
-  doc.add_trial(report.seconds, report.telemetry);
-  record_shard(doc, wg.unweighted());
-  return doc.to_json();
-}
-
-std::string Server::do_family_query(const std::string& cmd,
-                                    const std::string& path,
-                                    const std::string& algo,
-                                    std::uint64_t deadline_ms) {
-  // Validate the algo string before any I/O so a typo costs nothing.
-  if (cmd == "cc") {
-    if (algo != "uf" && algo != "lp" && algo != "ldd") {
-      throw Error(ErrorCategory::kUsage,
-                  "cc: unknown algo '" + algo + "' (expected uf|lp|ldd)");
-    }
-  } else if (algo != "pasgal" && algo != "seq") {
-    throw Error(ErrorCategory::kUsage, cmd + ": unknown algo '" + algo +
-                                           "' (expected pasgal|seq)");
-  }
-
-  PgrShardSpec spec = ensure_open(path);
-
-  CancelToken token;
-  if (deadline_ms != 0) token.set_deadline_ms(deadline_ms);
-
-  AlgoOptions opt;
-  opt.cancel = &token;
-
-  std::lock_guard<std::mutex> exec(exec_mu_);
-
-  Graph g = read_pgr(path, PgrOpen::kMmap, false, nullptr, spec);
-  MetricsDoc doc(cmd, algo, path, g.num_vertices(), g.num_edges());
-  if (deadline_ms != 0) doc.set_param("deadline_ms", deadline_ms);
-
-  if (cmd == "pagerank") {
-    // The dense pull walks the transpose's shard plan, so pagerank (pasgal
-    // variant) stays correct on sharded opens; seq refuses with a typed
-    // error from its own ensure_in_core.
-    Graph gt = g.transpose();
-    RunReport<PagerankResult> report = algo == "pasgal"
-                                           ? pasgal_pagerank(g, gt, opt)
-                                           : seq_pagerank(g, gt, opt);
-    doc.set_param("iterations",
-                  static_cast<std::uint64_t>(report.output.iterations));
-    doc.add_trial(report.seconds, report.telemetry);
-    record_shard(doc, g);
-    record_delta(doc, g);
-    return doc.to_json();
-  }
-
-  // cc / kcore / tc are defined on the undirected graph. symmetrize() needs
-  // the whole edge set in core, so on a sharded open it throws the typed
-  // kUsage error instead of silently faulting past the window.
-  Graph sg = g.symmetrize();
-  if (cmd == "cc") {
-    RunReport<std::vector<VertexId>> report;
-    if (algo == "uf") {
-      RunReport<ConnectivityResult> uf = connected_components(sg, opt);
-      report.output = std::move(uf.output.label);
-      report.seconds = uf.seconds;
-      report.telemetry = std::move(uf.telemetry);
-    } else {
-      report = algo == "lp" ? label_prop_cc(sg, opt) : ldd_cc(sg, opt);
-    }
-    doc.add_trial(report.seconds, report.telemetry);
-  } else if (cmd == "kcore") {
-    RunReport<std::vector<std::uint32_t>> report =
-        algo == "pasgal" ? pasgal_kcore(sg, opt) : seq_kcore(sg, opt);
-    doc.add_trial(report.seconds, report.telemetry);
-  } else {
-    RunReport<std::uint64_t> report =
-        algo == "pasgal" ? pasgal_tc(sg, opt) : seq_tc(sg, opt);
-    doc.set_param("triangles", report.output);
-    doc.add_trial(report.seconds, report.telemetry);
-  }
-  record_shard(doc, g);
-  record_delta(doc, g);
+  doc.add_trial(run.seconds, run.telemetry);
+  catalog::record_shard(doc, g);
+  catalog::record_delta(doc, g);
   return doc.to_json();
 }
 

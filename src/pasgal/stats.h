@@ -3,43 +3,12 @@
 // add_visits, end_round, rounds(), frontier_sizes(), max_frontier() — so
 // existing call sites and tests compile unchanged while gaining round traces,
 // depth histograms, and scheduler counters for free.
-//
-// Also provides the calibrated cost model used by the benchmark harness to
-// project speedup-vs-cores curves on hardware with fewer cores than the
-// paper's 96-core testbed (see DESIGN.md §2 and §4).
 #pragma once
-
-#include <cstdint>
 
 #include "pasgal/telemetry.h"
 
 namespace pasgal {
 
 using RunStats = Tracer;
-
-// Cost model for projecting runtimes to P processors (DESIGN.md §4):
-//
-//   T_P = W * c_work / min(P, parallelism) + R * c_sync(P) + seq * c_work
-//
-// where W = edges scanned + vertices visited, R = rounds, and `parallelism`
-// limits useful cores by the average frontier size (a round with 3 frontier
-// vertices cannot use 96 cores). c_sync grows logarithmically with P,
-// modelling tree-based fork/join distribution cost.
-struct CostModel {
-  double c_work = 1.0;       // ns per edge operation (calibrated)
-  double c_sync = 4000.0;    // ns per global synchronization at P=2
-  double seq_fraction = 0.0; // fraction of W that is inherently sequential
-
-  double projected_time_ns(std::uint64_t work, std::uint64_t rounds,
-                           double avg_parallelism, int P) const;
-
-  // Speedup of (work, rounds) at P cores over a given sequential time.
-  double projected_speedup(std::uint64_t work, std::uint64_t rounds,
-                           double avg_parallelism, int P,
-                           double seq_time_ns) const;
-};
-
-// Calibrates c_work from a measured single-thread run.
-CostModel calibrate(double measured_seq_ns, std::uint64_t seq_work);
 
 }  // namespace pasgal

@@ -538,6 +538,41 @@ TEST_F(ServerTest, AdmissionEvictsLruToMakeRoom) {
   EXPECT_NE(stats.find("retained=1"), std::string::npos) << stats;
 }
 
+TEST_F(ServerTest, UnknownAlgoIsRejectedBeforeAnyIo) {
+  std::string a = write_graph("algo_a.pgr", 256);
+  std::string b = write_graph("algo_b.pgr", 256);
+  std::uintmax_t file_bytes = std::filesystem::file_size(a);
+  ServerOptions opts;
+  opts.socket_path = temp_path("serve.sock");
+  // Room for ~1.5 graphs: admitting b would have to evict a.
+  opts.admission_budget_bytes = file_bytes + file_bytes / 2;
+  start_server(opts);
+
+  EXPECT_EQ(request_once("open graph=" + a).rfind("ok ", 0), 0u);
+  std::string before = request_once("stats");
+  for (const std::string& req :
+       {"bfs graph=" + b + " source=0 algo=nope",
+        "sssp graph=" + b + " source=0 algo=nope",
+        "bfs graph=" + b + " sources=1,2 algo=nope"}) {
+    std::string resp = request_once(req);
+    EXPECT_EQ(resp.rfind("error [usage]", 0), 0u) << req << " -> " << resp;
+  }
+  // A typo maps nothing and evicts nothing: the registry counters and
+  // residency are exactly as before (requests_error moved, so compare the
+  // registry fields), and a is still the warm resident graph.
+  std::string after = request_once("stats");
+  auto field = [](const std::string& stats, const std::string& key) {
+    std::size_t at = stats.find(" " + key + "=");
+    EXPECT_NE(at, std::string::npos) << key << " in " << stats;
+    return stats.substr(at, stats.find(' ', at + 1) - at);
+  };
+  for (const char* key :
+       {"entries", "resident_bytes", "retained", "misses", "evictions"}) {
+    EXPECT_EQ(field(after, key), field(before, key)) << after;
+  }
+  EXPECT_NE(request_once("open graph=" + a).find("warm=1"), std::string::npos);
+}
+
 TEST_F(ServerTest, PinnedGraphsBlockEvictionSoAdmissionFails) {
   std::string a = write_graph("pin_a.pgr", 256);
   std::string b = write_graph("pin_b.pgr", 256);

@@ -24,7 +24,6 @@
 #include "pasgal/cli.h"
 #include "pasgal/error.h"
 #include "pasgal/resource.h"
-#include "pasgal/stats.h"
 #include "pasgal/telemetry.h"
 
 namespace pasgal::apps {
@@ -473,7 +472,7 @@ class ServeHarness {
 
 // --- driver scaffolding ------------------------------------------------------
 
-inline void print_stats(const char* algo, double seconds, const RunStats& stats) {
+inline void print_stats(const char* algo, double seconds, const Tracer& stats) {
   std::printf("%s: %.4f s | rounds %llu | edges scanned %llu | "
               "vertices visited %llu | max frontier %llu\n",
               algo, seconds, (unsigned long long)stats.rounds(),

@@ -203,7 +203,6 @@ class Driver {
 
       Tracer tracer;
       AlgoOptions opt = aopt;
-      opt.validate = common.validate;
       opt.tracer = &tracer;
 
       if (!doc) {

@@ -25,14 +25,13 @@ int main() {
     std::printf("%-12s %12s %10s %14s\n", "dense mode", "time(s)", "rounds",
                 "edges scanned");
     for (bool use_dense : {true, false}) {
-      PasgalBfsParams params;
-      params.use_dense = use_dense;
-      RunStats stats;
-      double t = time_seconds(
-          [&] { pasgal_bfs(g, spec.directed ? gt : g, source, params, &stats); });
-      std::printf("%-12s %12.4f %10llu %14llu\n", use_dense ? "on" : "off", t,
-                  static_cast<unsigned long long>(stats.rounds()),
-                  static_cast<unsigned long long>(stats.edges_scanned()));
+      AlgoOptions opt;
+      opt.source = source;
+      opt.use_dense = use_dense;
+      auto r = pasgal_bfs(g, gt, opt);
+      std::printf("%-12s %12.4f %10zu %14llu\n", use_dense ? "on" : "off",
+                  r.seconds, r.telemetry.rounds.size(),
+                  static_cast<unsigned long long>(r.telemetry.edges_scanned));
     }
     std::fflush(stdout);
   }

@@ -22,22 +22,14 @@ int main() {
     std::printf("%8s %12s %10s %14s %12s %10s\n", "tau", "BFS time(s)",
                 "BFS rounds", "BFS edges", "SCC time(s)", "SCC rounds");
     for (std::uint32_t tau : taus) {
-      PasgalBfsParams bfs_params;
-      bfs_params.vgc.tau = tau;
-      RunStats bfs_stats;
-      double t_bfs = time_seconds(
-          [&] { pasgal_bfs(g, gt, 0, bfs_params, &bfs_stats); });
-
-      SccParams scc_params;
-      scc_params.vgc.tau = tau;
-      RunStats scc_stats;
-      double t_scc =
-          time_seconds([&] { pasgal_scc(g, gt, scc_params, &scc_stats); });
-
-      std::printf("%8u %12.4f %10llu %14llu %12.4f %10llu\n", tau, t_bfs,
-                  static_cast<unsigned long long>(bfs_stats.rounds()),
-                  static_cast<unsigned long long>(bfs_stats.edges_scanned()),
-                  t_scc, static_cast<unsigned long long>(scc_stats.rounds()));
+      AlgoOptions opt;
+      opt.vgc.tau = tau;
+      auto bfs = pasgal_bfs(g, gt, opt);
+      auto scc = pasgal_scc(g, gt, opt);
+      std::printf("%8u %12.4f %10zu %14llu %12.4f %10zu\n", tau, bfs.seconds,
+                  bfs.telemetry.rounds.size(),
+                  static_cast<unsigned long long>(bfs.telemetry.edges_scanned),
+                  scc.seconds, scc.telemetry.rounds.size());
       std::fflush(stdout);
     }
   }

@@ -24,20 +24,18 @@ int main() {
     }
     Graph g0 = spec.build();
     Graph g = spec.directed ? g0.symmetrize() : g0;
-    RunStats seq_stats, flat_stats, vgc_stats;
-    std::vector<std::uint32_t> ref, a, b;
-    double t_seq = time_seconds([&] { ref = seq_kcore(g, &seq_stats); });
-    KcoreParams flat;
+    AlgoOptions opt, flat;
     flat.vgc.tau = 1;
-    double t_flat = time_seconds([&] { a = pasgal_kcore(g, flat, &flat_stats); });
-    double t_vgc = time_seconds([&] { b = pasgal_kcore(g, {}, &vgc_stats); });
-    if (a != ref || b != ref) {
+    auto ref = seq_kcore(g, opt);
+    auto a = pasgal_kcore(g, flat);
+    auto b = pasgal_kcore(g, opt);
+    if (a.output != ref.output || b.output != ref.output) {
       std::fprintf(stderr, "KCORE MISMATCH on %s\n", spec.name.c_str());
       return 1;
     }
-    std::printf("%-10s %12.4f %12.4f %10llu %12.4f %10llu\n", spec.name.c_str(),
-                t_seq, t_flat, (unsigned long long)flat_stats.rounds(), t_vgc,
-                (unsigned long long)vgc_stats.rounds());
+    std::printf("%-10s %12.4f %12.4f %10zu %12.4f %10zu\n", spec.name.c_str(),
+                ref.seconds, a.seconds, a.telemetry.rounds.size(), b.seconds,
+                b.telemetry.rounds.size());
     std::fflush(stdout);
   }
 
@@ -49,23 +47,22 @@ int main() {
     if (spec.name != "ROAD-NA" && spec.name != "SREC") continue;
     Graph g = spec.build();
     Graph gt = g.transpose();
-    auto labels = normalize_scc_labels(pasgal_scc(g, gt));
-    Condensation cond = scc_condensation(g, labels);
-    RunStats flat_stats, vgc_stats;
-    ToposortParams flat;
+    AlgoOptions opt, flat;
     flat.vgc.tau = 1;
-    std::vector<std::uint32_t> a, b, ref;
-    bool ok = pasgal_toposort(cond.dag, a, flat, &flat_stats).ok() &&
-              pasgal_toposort(cond.dag, b, {}, &vgc_stats).ok() &&
-              seq_toposort(cond.dag, ref).ok();
-    if (!ok || a != ref || b != ref) {
+    auto labels = normalize_scc_labels(pasgal_scc(g, gt, opt).output);
+    Condensation cond = scc_condensation(g, labels);
+    // The condensation of an SCC partition is acyclic, so the entry points
+    // (which throw on cycles) run to completion.
+    auto a = pasgal_toposort(cond.dag, flat);
+    auto b = pasgal_toposort(cond.dag, opt);
+    auto ref = seq_toposort(cond.dag, opt);
+    if (a.output != ref.output || b.output != ref.output) {
       std::fprintf(stderr, "TOPOSORT MISMATCH on %s\n", spec.name.c_str());
       return 1;
     }
-    std::printf("%-10s %10zu %10zu %14s %12llu %12llu\n", spec.name.c_str(),
+    std::printf("%-10s %10zu %10zu %14s %12zu %12zu\n", spec.name.c_str(),
                 cond.dag.num_vertices(), cond.dag.num_edges(), "1 (serial)",
-                (unsigned long long)flat_stats.rounds(),
-                (unsigned long long)vgc_stats.rounds());
+                a.telemetry.rounds.size(), b.telemetry.rounds.size());
     std::fflush(stdout);
   }
 
@@ -80,7 +77,7 @@ int main() {
     auto gt = g.transpose();
     VertexId s = 0;
     VertexId t = static_cast<VertexId>(g.num_vertices() - 1);
-    RunStats uni_stats, bi_stats;
+    Tracer uni_stats, bi_stats;
     Dist d1 = ppsp_dijkstra(g, s, t, &uni_stats);
     Dist d2 = ppsp_bidirectional(g, gt, s, t, &bi_stats);
     std::printf("%-10s %16llu %16llu %16s\n", spec.name.c_str(),

@@ -26,14 +26,14 @@ int main() {
     Graph g = spec.build();
     Graph gt = g.transpose();
 
-    RunStats seq_stats, pasgal_stats, gbbs_stats, multi_stats;
-    double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
-    time_seconds([&] { pasgal_scc(g, gt, {}, &pasgal_stats); });
-    time_seconds([&] { gbbs_scc(g, gt, {}, &gbbs_stats); });
-    time_seconds([&] { multistep_scc(g, gt, {}, &multi_stats); });
+    AlgoOptions opt;
+    auto seq = tarjan_scc(g, opt);
+    RunTelemetry pasgal = pasgal_scc(g, gt, opt).telemetry;
+    RunTelemetry gbbs = gbbs_scc(g, gt, opt).telemetry;
+    RunTelemetry multi = multistep_scc(g, gt, opt).telemetry;
 
-    Projection proj = calibrate(t_seq, seq_stats);
-    double seq_ns = t_seq * 1e9;
+    Projection proj = calibrate(seq.seconds, seq.telemetry);
+    double seq_ns = seq.seconds * 1e9;
 
     std::printf("\n=== Figure 1 panel: %s (%s, analogue %s) ===\n",
                 spec.name.c_str(), spec.cls.c_str(),
@@ -42,20 +42,18 @@ int main() {
     std::printf("%-10s", "P");
     for (int p : processors) std::printf(" %8d", p);
     std::printf("\n");
-    auto series = [&](const char* name, const RunStats& stats) {
+    auto series = [&](const char* name, const RunTelemetry& t) {
       std::printf("%-10s", name);
       for (int p : processors) {
-        std::printf(" %8.3f", proj.speedup_at(p, stats, seq_ns));
+        std::printf(" %8.3f", proj.speedup_at(p, t, seq_ns));
       }
       std::printf("\n");
     };
-    series("PASGAL", pasgal_stats);
-    series("GBBS", gbbs_stats);
-    series("Multistep", multi_stats);
-    std::printf("rounds: PASGAL=%llu GBBS=%llu Multistep=%llu\n",
-                static_cast<unsigned long long>(pasgal_stats.rounds()),
-                static_cast<unsigned long long>(gbbs_stats.rounds()),
-                static_cast<unsigned long long>(multi_stats.rounds()));
+    series("PASGAL", pasgal);
+    series("GBBS", gbbs);
+    series("Multistep", multi);
+    std::printf("rounds: PASGAL=%zu GBBS=%zu Multistep=%zu\n",
+                pasgal.rounds.size(), gbbs.rounds.size(), multi.rounds.size());
     std::fflush(stdout);
   }
   return 0;

@@ -26,6 +26,18 @@ VertexId max_degree_vertex(const Graph& g) {
 
 constexpr int kP = 192;
 
+// Projected speedups at P = kP of three parallel runs over the sequential
+// baseline `seq`, calibrated on it.
+template <typename T>
+std::vector<double> speedups(const RunReport<T>& seq, const RunReport<T>& a,
+                             const RunReport<T>& b, const RunReport<T>& c) {
+  Projection proj = calibrate(seq.seconds, seq.telemetry);
+  double ns = seq.seconds * 1e9;
+  return {proj.speedup_at(kP, a.telemetry, ns),
+          proj.speedup_at(kP, b.telemetry, ns),
+          proj.speedup_at(kP, c.telemetry, ns)};
+}
+
 }  // namespace
 
 int main() {
@@ -40,44 +52,33 @@ int main() {
 
     // --- BFS panel.
     {
-      VertexId source = max_degree_vertex(g);
-      RunStats seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { seq_bfs(g, source, &seq_stats); });
-      time_seconds([&] { pasgal_bfs(g, gt_ref, source, {}, &s1); });
-      time_seconds([&] { gbbs_bfs(g, gt_ref, source, &s2); });
-      time_seconds([&] { gapbs_bfs(g, gt_ref, source, {}, &s3); });
-      Projection proj = calibrate(t_seq, seq_stats);
-      double ns = t_seq * 1e9;
-      bfs_bars.add_row(spec.cls, spec.name,
-                       {proj.speedup_at(kP, s1, ns), proj.speedup_at(kP, s2, ns),
-                        proj.speedup_at(kP, s3, ns)});
+      AlgoOptions opt;
+      opt.source = max_degree_vertex(g);
+      auto seq = seq_bfs(g, opt);
+      auto pasgal = pasgal_bfs(g, gt_ref, opt);
+      auto gbbs = gbbs_bfs(g, gt_ref, opt);
+      auto gapbs = gapbs_bfs(g, gt_ref, opt);
+      bfs_bars.add_row(spec.cls, spec.name, speedups(seq, pasgal, gbbs, gapbs));
     }
     // --- SCC panel (directed only, as in the paper).
     if (spec.directed) {
-      RunStats seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { tarjan_scc(g, &seq_stats); });
-      time_seconds([&] { pasgal_scc(g, gt, {}, &s1); });
-      time_seconds([&] { gbbs_scc(g, gt, {}, &s2); });
-      time_seconds([&] { multistep_scc(g, gt, {}, &s3); });
-      Projection proj = calibrate(t_seq, seq_stats);
-      double ns = t_seq * 1e9;
+      AlgoOptions opt;
+      auto seq = tarjan_scc(g, opt);
+      auto pasgal = pasgal_scc(g, gt, opt);
+      auto gbbs = gbbs_scc(g, gt, opt);
+      auto multistep = multistep_scc(g, gt, opt);
       scc_bars.add_row(spec.cls, spec.name,
-                       {proj.speedup_at(kP, s1, ns), proj.speedup_at(kP, s2, ns),
-                        proj.speedup_at(kP, s3, ns)});
+                       speedups(seq, pasgal, gbbs, multistep));
     }
     // --- BCC panel (symmetrized).
     {
       Graph sym = spec.directed ? g.symmetrize() : g;
-      RunStats seq_stats, s1, s2, s3;
-      double t_seq = time_seconds([&] { hopcroft_tarjan_bcc(sym, &seq_stats); });
-      time_seconds([&] { fast_bcc(sym, &s1); });
-      time_seconds([&] { gbbs_bcc(sym, &s2); });
-      time_seconds([&] { tarjan_vishkin_bcc(sym, &s3); });
-      Projection proj = calibrate(t_seq, seq_stats);
-      double ns = t_seq * 1e9;
-      bcc_bars.add_row(spec.cls, spec.name,
-                       {proj.speedup_at(kP, s1, ns), proj.speedup_at(kP, s2, ns),
-                        proj.speedup_at(kP, s3, ns)});
+      AlgoOptions opt;
+      auto seq = hopcroft_tarjan_bcc(sym, opt);
+      auto pasgal = fast_bcc(sym, opt);
+      auto gbbs = gbbs_bcc(sym, opt);
+      auto tv = tarjan_vishkin_bcc(sym, opt);
+      bcc_bars.add_row(spec.cls, spec.name, speedups(seq, pasgal, gbbs, tv));
     }
     std::fflush(stdout);
   }

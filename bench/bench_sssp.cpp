@@ -71,7 +71,7 @@ int main() {
     std::fflush(stdout);
   }
 
-  times.print("SSSP running time (this machine, 1 core)", "seconds");
+  times.print("SSSP running time " + workers_note(), "seconds");
   rounds.print("SSSP global synchronizations (rounds)", "count");
   speedup96.print("SSSP projected speedup over Dijkstra at P=96", "speedup");
   return metrics.write() ? 0 : 1;

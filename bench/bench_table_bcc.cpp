@@ -67,7 +67,7 @@ int main() {
     std::fflush(stdout);
   }
 
-  times.print("Table A2: BCC running time (this machine, 1 core)", "seconds");
+  times.print("Table A2: BCC running time " + workers_note(), "seconds");
   rounds.print("BCC global synchronizations (rounds)", "count");
   speedup96.print(
       "BCC projected speedup over sequential Hopcroft-Tarjan at P=96",

@@ -73,7 +73,7 @@ int main() {
     std::fflush(stdout);
   }
 
-  times.print("Table A4: BFS running time (this machine, 1 core)", "seconds");
+  times.print("Table A4: BFS running time " + workers_note(), "seconds");
   rounds.print("BFS global synchronizations (rounds)", "count");
   speedup96.print(
       "BFS projected speedup over sequential at P=96 (cost model, DESIGN.md)",

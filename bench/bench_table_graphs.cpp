@@ -3,6 +3,7 @@
 // bounds from sampled searches, as in the paper).
 #include <cstdio>
 
+#include "graphs/graph_stats.h"
 #include "suite.h"
 
 using namespace pasgal;
@@ -22,9 +23,9 @@ int main() {
     std::uint64_t d_dir = 0;
     if (spec.directed) {
       Graph gt = g.transpose();
-      d_dir = estimate_diameter(g, gt);
+      d_dir = diameter_lower_bound(g, gt);
     }
-    std::uint64_t d_sym = estimate_diameter(sym, sym);
+    std::uint64_t d_sym = diameter_lower_bound(sym, sym);
     if (spec.directed) {
       std::printf("%-10s %-10s %-22s %10llu %10llu %10llu %8llu %8llu\n",
                   spec.cls.c_str(), spec.name.c_str(),

@@ -60,7 +60,7 @@ int main() {
     std::fflush(stdout);
   }
 
-  times.print("Table A3: SCC running time (this machine, 1 core)", "seconds");
+  times.print("Table A3: SCC running time " + workers_note(), "seconds");
   rounds.print("SCC global synchronizations (rounds)", "count");
   speedup96.print(
       "SCC projected speedup over sequential Tarjan at P=96 (cost model)",

@@ -16,7 +16,7 @@
 #include "algorithms/bfs/bfs.h"
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal::bench {
 
@@ -119,28 +119,16 @@ struct Projection {
   double c_work_ns = 1.0;
   double c_sync_ns = 5000.0;
 
-  double time_from(int p, double edges, double visits, double rounds) const {
-    double work = edges + visits;
+  double time_at(int p, const RunTelemetry& t) const {
+    double visits = double(t.vertices_visited);
+    double rounds = double(t.rounds.size());
+    double work = double(t.edges_scanned) + visits;
     double avg_frontier = rounds > 0 ? visits / rounds : 1.0;
     double usable = std::min<double>(p, std::max(1.0, avg_frontier));
     double compute = work * c_work_ns / usable;
     double sync = p <= 1 ? 0.0
                          : rounds * c_sync_ns * (1.0 + std::log2(double(p)));
     return compute + sync;
-  }
-
-  double time_at(int p, const RunStats& stats) const {
-    return time_from(p, double(stats.edges_scanned()),
-                     double(stats.vertices_visited()), double(stats.rounds()));
-  }
-
-  double time_at(int p, const RunTelemetry& t) const {
-    return time_from(p, double(t.edges_scanned), double(t.vertices_visited),
-                     double(t.rounds.size()));
-  }
-
-  double speedup_at(int p, const RunStats& stats, double seq_time_ns) const {
-    return seq_time_ns / time_at(p, stats);
   }
 
   double speedup_at(int p, const RunTelemetry& t, double seq_time_ns) const {
@@ -150,21 +138,11 @@ struct Projection {
 
 // Calibrate c_work so that the sequential baseline's modeled time matches
 // its measured time.
-inline Projection calibrate_from(double seq_seconds, double work) {
+inline Projection calibrate(double seq_seconds, const RunTelemetry& t) {
   Projection proj;
+  double work = double(t.edges_scanned + t.vertices_visited);
   if (work > 0) proj.c_work_ns = seq_seconds * 1e9 / work;
   return proj;
-}
-
-inline Projection calibrate(double seq_seconds, const RunStats& seq_stats) {
-  return calibrate_from(seq_seconds,
-                        double(seq_stats.edges_scanned() +
-                               seq_stats.vertices_visited()));
-}
-
-inline Projection calibrate(double seq_seconds, const RunTelemetry& t) {
-  return calibrate_from(seq_seconds,
-                        double(t.edges_scanned + t.vertices_visited));
 }
 
 // --- machine-readable results (BENCH_<name>.json) ----------------------------
@@ -218,6 +196,11 @@ class BenchJson {
 
 // --- table printing ---------------------------------------------------------
 
+// Title suffix naming the worker count the printed times were taken at.
+inline std::string workers_note() {
+  return "(this machine, " + std::to_string(num_workers()) + " workers)";
+}
+
 class Table {
  public:
   explicit Table(std::vector<std::string> columns) : columns_(std::move(columns)) {}
@@ -269,34 +252,5 @@ class Table {
   std::vector<std::string> columns_;
   std::vector<Row> rows_;
 };
-
-// Paper-style diameter estimate: lower bound via repeated BFS sweeps
-// (the paper reports lower bounds from >= 1000 sampled searches; we run a
-// smaller, deterministic sample plus double sweeps from the extremes).
-inline std::uint64_t estimate_diameter(const Graph& g, const Graph& gt,
-                                       int samples = 8) {
-  std::size_t n = g.num_vertices();
-  if (n == 0) return 0;
-  std::uint64_t best = 0;
-  Random rng(7);
-  VertexId next_source = 0;
-  for (int s = 0; s < samples; ++s) {
-    auto dist = pasgal_bfs(g, gt, next_source);
-    std::uint64_t ecc = 0;
-    VertexId far = next_source;
-    for (VertexId v = 0; v < n; ++v) {
-      if (dist[v] != kInfDist && dist[v] > ecc) {
-        ecc = dist[v];
-        far = v;
-      }
-    }
-    best = std::max(best, ecc);
-    // Double sweep: next source is the farthest vertex found, alternating
-    // with random restarts to cover other components.
-    next_source = (s % 2 == 0) ? far
-                               : static_cast<VertexId>(rng.ith_rand(s) % n);
-  }
-  return best;
-}
 
 }  // namespace pasgal::bench

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
               g.num_edges());
 
   // Cyclic groups.
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  AlgoOptions opt;
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, opt).output);
   std::map<VertexId, std::size_t> group_size;
   for (auto l : labels) ++group_size[l];
   std::size_t cyclic_groups = 0, largest = 0;
@@ -56,19 +57,16 @@ int main(int argc, char** argv) {
 
   // Build schedule over the condensation.
   Condensation cond = scc_condensation(g, labels);
-  RunStats topo_stats;
-  std::vector<std::uint32_t> levels;
-  if (Status s = pasgal_toposort(cond.dag, levels, {}, &topo_stats); !s.ok()) {
-    std::printf("internal error: %s\n", s.to_string().c_str());
-    return 1;
-  }
+  // The condensation is acyclic, so toposort reports no cycle (it would
+  // throw a typed kValidation Error).
+  auto topo = pasgal_toposort(cond.dag, opt);
+  const std::vector<std::uint32_t>& levels = topo.output;
   std::uint32_t depth = 0;
   for (auto l : levels) depth = std::max(depth, l);
   auto order = topological_order(levels);
   std::printf("build plan: %zu units, critical-path depth %u "
-              "(toposort in %llu rounds)\n",
-              cond.dag.num_vertices(), depth + 1,
-              (unsigned long long)topo_stats.rounds());
+              "(toposort in %zu rounds)\n",
+              cond.dag.num_vertices(), depth + 1, topo.telemetry.rounds.size());
   std::printf("first units to build:");
   for (std::size_t i = 0; i < order.size() && i < 6; ++i) {
     std::printf(" target%u", cond.representative[order[i]]);

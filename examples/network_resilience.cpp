@@ -17,14 +17,14 @@ using namespace pasgal;
 namespace {
 
 void audit(const char* label, const Graph& g) {
-  RunStats stats;
-  BccResult bcc = fast_bcc(g, &stats);
+  auto run = fast_bcc(g, AlgoOptions{});
+  const BccResult& bcc = run.output;
   auto cuts = articulation_points(g, bcc);
   std::size_t bridges = count_bridges(g, bcc);
   std::printf("%s: %zu nodes, %zu links -> %zu biconnected components, "
-              "%zu articulation nodes, %zu bridge links (%llu rounds)\n",
+              "%zu articulation nodes, %zu bridge links (%zu rounds)\n",
               label, g.num_vertices(), g.num_edges() / 2, bcc.num_bccs,
-              cuts.size(), bridges, (unsigned long long)stats.rounds());
+              cuts.size(), bridges, run.telemetry.rounds.size());
 }
 
 }  // namespace
@@ -50,7 +50,7 @@ int main() {
 
   // The worst offenders: articulation points ranked by how many distinct
   // components they touch.
-  BccResult bcc = fast_bcc(backbone);
+  BccResult bcc = fast_bcc(backbone, AlgoOptions{}).output;
   auto cuts = articulation_points(backbone, bcc);
   std::printf("first articulation nodes in the initial design:");
   for (std::size_t i = 0; i < cuts.size() && i < 8; ++i) {

@@ -3,8 +3,10 @@
 //   $ ./examples/quickstart [n]
 //
 // Demonstrates the public API end to end: generators, BFS, connectivity,
-// SCC, SSSP, and the per-run instrumentation (rounds / edges scanned) that
-// the library exposes for every algorithm.
+// SCC, SSSP, and the per-run telemetry (rounds / edges scanned) that every
+// algorithm reports. Each algorithm takes the graph(s) and one AlgoOptions
+// (source vertex, tuning knobs) and returns a RunReport: the output, the
+// wall time, and the run's telemetry.
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,10 +29,10 @@ int main(int argc, char** argv) {
               g.num_edges());
 
   // --- BFS with vertical granularity control ------------------------------
-  RunStats bfs_stats;
-  auto dist = pasgal_bfs(g, gt, /*source=*/0, {}, &bfs_stats);
+  AlgoOptions opt;  // source 0, default knobs
+  auto bfs = pasgal_bfs(g, gt, opt);
   std::uint64_t reached = 0, max_d = 0;
-  for (auto d : dist) {
+  for (auto d : bfs.output) {
     if (d != kInfDist) {
       ++reached;
       max_d = std::max<std::uint64_t>(max_d, d);
@@ -39,17 +41,17 @@ int main(int argc, char** argv) {
   std::printf("BFS:  reached %llu vertices, eccentricity %llu, "
               "%llu rounds (vs ~%llu for level-synchronous BFS)\n",
               (unsigned long long)reached, (unsigned long long)max_d,
-              (unsigned long long)bfs_stats.rounds(), (unsigned long long)max_d);
+              (unsigned long long)bfs.telemetry.rounds.size(),
+              (unsigned long long)max_d);
 
   // --- connectivity (treating edges as undirected) -------------------------
-  auto cc = connected_components(g);
+  auto cc = connected_components(g, opt).output;
   std::printf("CC:   %zu weakly-connected components, spanning forest of %zu edges\n",
               cc.num_components, cc.forest.size());
 
   // --- strongly connected components ---------------------------------------
-  RunStats scc_stats;
-  auto scc = pasgal_scc(g, gt, {}, &scc_stats);
-  auto norm = normalize_scc_labels(scc);
+  auto scc = pasgal_scc(g, gt, opt);
+  auto norm = normalize_scc_labels(scc.output);
   std::size_t giant = 0;
   {
     std::vector<std::size_t> count(g.num_vertices(), 0);
@@ -57,13 +59,14 @@ int main(int argc, char** argv) {
   }
   std::printf("SCC:  largest strongly connected component has %zu of %zu "
               "vertices (%llu rounds)\n",
-              giant, g.num_vertices(), (unsigned long long)scc_stats.rounds());
+              giant, g.num_vertices(),
+              (unsigned long long)scc.telemetry.rounds.size());
 
   // --- shortest paths -------------------------------------------------------
   auto wg = gen::add_weights(g, /*max_weight=*/100, 2);
-  auto sp = rho_stepping(wg, 0);
+  auto sp = stepping_sssp(wg, opt);  // rho-stepping by default
   Dist far = 0;
-  for (auto d : sp) {
+  for (auto d : sp.output) {
     if (d != kInfWeightDist) far = std::max(far, d);
   }
   std::printf("SSSP: farthest reachable vertex at weighted distance %llu\n",

@@ -29,9 +29,11 @@ int main(int argc, char** argv) {
   std::printf("city: %zu intersections, %zu street segments, depot at %u\n",
               streets.num_vertices(), streets.num_edges(), depot);
 
-  // Travel times from the depot and back to the depot.
-  auto out_time = rho_stepping(travel, depot);
-  auto back_time = rho_stepping(travel_rev, depot);
+  // Travel times from the depot and back to the depot (rho-stepping).
+  AlgoOptions from_depot;
+  from_depot.source = depot;
+  auto out_time = stepping_sssp(travel, from_depot).output;
+  auto back_time = stepping_sssp(travel_rev, from_depot).output;
 
   std::size_t deliverable = 0;
   Dist worst_round_trip = 0;
@@ -49,15 +51,15 @@ int main(int argc, char** argv) {
 
   // Strong connectivity tells the same story globally: every address in the
   // depot's SCC has a legal route both ways.
-  RunStats scc_stats;
-  auto scc = normalize_scc_labels(pasgal_scc(streets, streets_rev, {}, &scc_stats));
+  auto scc_run = pasgal_scc(streets, streets_rev, AlgoOptions{});
+  auto scc = normalize_scc_labels(scc_run.output);
   std::size_t same_scc = 0;
   for (auto label : scc) {
     if (label == scc[depot]) ++same_scc;
   }
   std::printf("depot's strongly connected zone: %zu intersections "
-              "(SCC computed in %llu rounds despite diameter ~%zu)\n",
-              same_scc, (unsigned long long)scc_stats.rounds(), 2 * side);
+              "(SCC computed in %zu rounds despite diameter ~%zu)\n",
+              same_scc, scc_run.telemetry.rounds.size(), 2 * side);
 
   // Sample a few concrete routes.
   std::printf("sample travel times from depot (seconds):\n");

@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
               (unsigned long long)followers.out_degree(celebrity));
 
   // Degrees of separation along follower edges (who hears the celebrity).
-  RunStats bfs_stats;
-  auto hops = pasgal_bfs(follows, followers, celebrity, {}, &bfs_stats);
+  AlgoOptions from_celebrity;
+  from_celebrity.source = celebrity;
+  auto bfs = pasgal_bfs(follows, followers, from_celebrity);
+  const std::vector<std::uint32_t>& hops = bfs.output;
   std::map<std::uint32_t, std::size_t> histogram;
   std::size_t unreachable = 0;
   for (auto h : hops) {
@@ -42,15 +44,16 @@ int main(int argc, char** argv) {
       ++histogram[h];
     }
   }
-  std::printf("degrees of separation from %u (%llu BFS rounds):\n", celebrity,
-              (unsigned long long)bfs_stats.rounds());
+  std::printf("degrees of separation from %u (%zu BFS rounds):\n", celebrity,
+              bfs.telemetry.rounds.size());
   for (auto [h, count] : histogram) {
     std::printf("  %2u hops: %9zu users\n", h, count);
   }
   std::printf("  never reached: %zu users\n", unreachable);
 
   // Mutual-follow communities: SCCs of the follow graph.
-  auto scc = normalize_scc_labels(pasgal_scc(follows, followers));
+  auto scc = normalize_scc_labels(
+      pasgal_scc(follows, followers, AlgoOptions{}).output);
   std::map<VertexId, std::size_t> scc_size;
   for (auto label : scc) ++scc_size[label];
   std::size_t giant = 0, nontrivial = 0;

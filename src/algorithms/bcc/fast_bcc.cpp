@@ -26,7 +26,7 @@ namespace internal {
 // Steps 4-5 on a prepared forest: skeleton construction, connectivity on the
 // skeleton, and per-edge label readout. Shared by fast_bcc (union-find
 // forest) and gbbs_bcc (BFS forest).
-BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, RunStats* stats) {
+BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   BccResult result;
@@ -84,7 +84,7 @@ BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, RunStats* stats) {
 
 }  // namespace internal
 
-BccResult fast_bcc(const Graph& g, RunStats* stats) {
+BccResult fast_bcc(const Graph& g, Tracer* stats) {
   if (g.num_vertices() == 0) return {};
   if (stats) stats->phase_begin("spanning_forest");
   ConnectivityResult cc = connected_components(g, stats);

@@ -20,7 +20,7 @@ namespace pasgal {
 // The O(m)-node auxiliary graph is the space cost the paper's BCC table
 // shows as out-of-memory on the billion-edge webs — in contrast to
 // FAST-BCC's O(n) skeleton.
-BccResult tarjan_vishkin_bcc(const Graph& g, RunStats* stats) {
+BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   BccResult result;

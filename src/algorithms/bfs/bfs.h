@@ -7,7 +7,7 @@
 //  * gbbs_bfs    — GBBS-style level-synchronous edge_map BFS with
 //                  sparse/dense direction optimization.
 //  * gapbs_bfs   — GAPBS-style direction-optimizing BFS (Beamer's alpha/beta
-//                  hysteresis controller).
+//                  hysteresis controller, fixed at GAPBS's 15/18).
 //  * pasgal_bfs  — this paper: hash-bag frontiers, vertical granularity
 //                  control with multi-frontier (2^i) distance buckets, and
 //                  direction optimization on clean dense levels (§2.2).
@@ -23,77 +23,28 @@
 #include "graphs/graph.h"
 #include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
-#include "pasgal/vgc.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
 inline constexpr std::uint32_t kInfDist = static_cast<std::uint32_t>(-1);
 
+// --- Knob-free kernels (also the oracles tests and benches compare with) ---
 std::vector<std::uint32_t> seq_bfs(const Graph& g, VertexId source,
-                                   RunStats* stats = nullptr);
+                                   Tracer* stats = nullptr);
 
 // `gt` is the transpose (pass g itself for symmetric graphs); needed for the
 // dense (pull) direction. `cancel`, when non-null, is checked at every
 // level boundary (throws kTimeout on expiry).
 std::vector<std::uint32_t> gbbs_bfs(const Graph& g, const Graph& gt,
-                                    VertexId source, RunStats* stats = nullptr,
+                                    VertexId source, Tracer* stats = nullptr,
                                     const CancelToken* cancel = nullptr);
 
-struct GapbsParams {
-  int alpha = 15;  // switch to bottom-up when frontier edges > remaining/alpha
-  int beta = 18;   // switch back to top-down when |frontier| < n/beta
-};
-std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
-                                     VertexId source, GapbsParams params = {},
-                                     RunStats* stats = nullptr);
-
-struct PasgalBfsParams {
-  VgcParams vgc;
-  // Engage VGC only when the frontier's work is below vgc_engage_factor*tau
-  // edge operations — i.e. when per-round work is too small to amortize
-  // scheduling on a many-core machine. Deliberately NOT scaled by the
-  // current worker count: the algorithm's round structure should not change
-  // with the machine it happens to run on.
-  std::uint32_t vgc_engage_factor = 16;
-  // Direction-optimization density threshold (frontier work > m/den).
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Checked at every round boundary (sparse rounds and dense levels);
-  // throws kTimeout on expiry. Null disables the check.
-  const CancelToken* cancel = nullptr;
-};
-std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
-                                      VertexId source,
-                                      PasgalBfsParams params = {},
-                                      RunStats* stats = nullptr);
-
-// --- bit-parallel multi-source BFS ------------------------------------------
-// Each vertex carries a 64-bit `seen` mask (sources that have reached it) and
-// a `visit` mask (sources that reached it last round). One level-synchronous
-// sweep advances the whole batch: sparse rounds push `visit` masks along
-// out-edges, OR-ing new bits into the targets and collecting first-touched
-// vertices through a hash bag; dense rounds pull every unsaturated vertex's
-// in-edges via edge_map_dense (pull_exhaustive — the AND-NOT against `seen`
-// must gather bits from every in-neighbour, not stop at the first hit).
-// Returns one hop-distance array per source, in input order — byte-identical
-// to running the single-source variants once per source.
-struct MsBfsParams {
-  // Direction-optimization density threshold (frontier work > m/den).
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Checked at every round boundary; throws kTimeout on expiry, unwinding
-  // the whole batch. Null disables the check.
-  const CancelToken* cancel = nullptr;
-};
-std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
-                                               std::span<const VertexId> sources,
-                                               MsBfsParams params = {},
-                                               RunStats* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
 // Source, tuning knobs and tracer come from AlgoOptions; the result bundles
 // the distances with wall time and the run's aggregated telemetry.
+//   gapbs_bfs  reads source.
+//   pasgal_bfs reads source, vgc.tau, dense_threshold_den, use_dense, cancel.
 RunReport<std::vector<std::uint32_t>> seq_bfs(const Graph& g,
                                               const AlgoOptions& opt);
 RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
@@ -104,11 +55,38 @@ RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt);
 
-// Batch entry point: validates the source list (check_batch_sources, typed
-// kUsage), runs the bit-parallel kernel once, and slices the result into one
-// RunReport per source (amortized seconds; the shared sweep's telemetry is
-// batch-level — see BatchReport in options.h).
+// Bit-parallel multi-source BFS. Each vertex carries a 64-bit `seen` mask
+// (sources that have reached it) and a `visit` mask (sources that reached it
+// last round). One level-synchronous sweep advances the whole batch: sparse
+// rounds push `visit` masks along out-edges, OR-ing new bits into the
+// targets and collecting first-touched vertices through a hash bag; dense
+// rounds pull every unsaturated vertex's in-edges via edge_map_dense
+// (pull_exhaustive — the AND-NOT against `seen` must gather bits from every
+// in-neighbour, not stop at the first hit). Reads dense_threshold_den,
+// use_dense and cancel from `opt.algo`.
+//
+// Validates the source list (check_batch_sources, typed kUsage), runs the
+// kernel once, and slices the result into one RunReport per source, in input
+// order — byte-identical to running the single-source variants once per
+// source (amortized seconds; the shared sweep's telemetry is batch-level —
+// see BatchReport in options.h).
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt);
+
+// --- Kernels behind the entry points ----------------------------------------
+// No input guard: callers run catalog::check_inputs first (tests reach them
+// directly only to exercise what the guard would otherwise catch).
+namespace internal {
+
+std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
+                                     const AlgoOptions& opt, Tracer* stats);
+std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
+                                      const AlgoOptions& opt, Tracer* stats);
+// One distance array per source, in the order of `opt.sources`.
+std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
+                                               const BatchOptions& opt,
+                                               Tracer* stats);
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -3,15 +3,24 @@
 #include "algorithms/bfs/bfs.h"
 #include "pasgal/edge_map.h"
 
-namespace pasgal {
+namespace pasgal::internal {
+
+namespace {
+
+// GAPBS's hysteresis constants: switch to bottom-up when frontier edges >
+// remaining/alpha; back to top-down when |frontier| < n/beta.
+constexpr EdgeId kGapbsAlpha = 15;
+constexpr std::size_t kGapbsBeta = 18;
+
+}  // namespace
 
 // GAPBS-style direction-optimizing BFS (Beamer et al., SC'12): top-down
 // (push) by default; bottom-up (pull) when the frontier's unexplored edge
 // count exceeds remaining/alpha; back to top-down when the frontier shrinks
 // below n/beta. Still one global synchronization per level.
 std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
-                                     VertexId source, GapbsParams params,
-                                     RunStats* stats) {
+                                     const AlgoOptions& opt, Tracer* stats) {
+  const VertexId source = opt.source;
   // The bottom-up loop below indexes in_frontier[u] with raw gt targets
   // (it bypasses edge_map and its validation choke point), so un-deep-
   // validated mmap handles are checked here.
@@ -35,10 +44,10 @@ std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
     ++level;
     EdgeId frontier_edges = frontier.out_degree_sum(g);
     if (!bottom_up &&
-        frontier_edges > edges_remaining / static_cast<EdgeId>(params.alpha)) {
+        frontier_edges > edges_remaining / kGapbsAlpha) {
       bottom_up = true;
     } else if (bottom_up &&
-               frontier.size() < n / static_cast<std::size_t>(params.beta)) {
+               frontier.size() < n / kGapbsBeta) {
       bottom_up = false;
     }
     edges_remaining -= std::min(edges_remaining, frontier_edges);
@@ -72,9 +81,9 @@ std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
         return dist[v].compare_exchange_strong(expected, level,
                                                std::memory_order_relaxed);
       };
-      EdgeMapOptions opt;
-      opt.allow_dense = false;  // direction decided above, not by edge_map
-      frontier = edge_map(g, gt, frontier, update, update, cond, opt, stats);
+      EdgeMapOptions emopt;
+      emopt.allow_dense = false;  // direction decided above, not by edge_map
+      frontier = edge_map(g, gt, frontier, update, update, cond, emopt, stats);
     }
   }
 
@@ -85,4 +94,4 @@ std::vector<std::uint32_t> gapbs_bfs(const Graph& g, const Graph& gt,
   return out;
 }
 
-}  // namespace pasgal
+}  // namespace pasgal::internal

@@ -38,12 +38,15 @@
 #include "pasgal/hashbag.h"
 #include "pasgal/options.h"
 
-namespace pasgal {
+namespace pasgal::internal {
 
 std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
-                                               std::span<const VertexId> sources,
-                                               MsBfsParams params,
-                                               RunStats* stats) {
+                                               const BatchOptions& opt,
+                                               Tracer* stats) {
+  std::span<const VertexId> sources = opt.sources;
+  const EdgeId dense_threshold_den = opt.algo.dense_threshold_den;
+  const bool use_dense = opt.algo.use_dense;
+  const CancelToken* const cancel = opt.algo.cancel;
   check_batch_sources(sources, g.num_vertices());
   g.ensure_validated();
   gt.ensure_validated();
@@ -84,9 +87,7 @@ std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
 
   std::uint32_t level = 0;
   while (!frontier.empty()) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("ms_bfs round boundary");
-    }
+    if (cancel != nullptr) cancel->check("ms_bfs round boundary");
     if (stats) stats->end_round(frontier.size());
     ++level;
 
@@ -98,8 +99,7 @@ std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
     };
 
     EdgeId work = frontier.out_degree_sum(g) + frontier.size();
-    bool go_dense =
-        params.use_dense && work > m / params.dense_threshold_den;
+    bool go_dense = use_dense && work > m / dense_threshold_den;
     VertexSubset activated = VertexSubset::empty(n);
     if (go_dense) {
       // Pull: v is scanned by a single task, so next[v] needs no CAS. The
@@ -114,7 +114,7 @@ std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
         return old == 0;
       };
       EdgeMapOptions emopt;
-      emopt.cancel = params.cancel;
+      emopt.cancel = cancel;
       emopt.pull_exhaustive = true;
       activated = edge_map_dense(g, gt, frontier, update_seq, cond, emopt,
                                  stats);
@@ -174,4 +174,4 @@ std::vector<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
   return out;
 }
 
-}  // namespace pasgal
+}  // namespace pasgal::internal

@@ -4,6 +4,7 @@
 
 #include "algorithms/bfs/bfs.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/vgc.h"
 
 namespace pasgal {
 
@@ -14,6 +15,13 @@ namespace {
 // re-bucketed (strictly downward) as the base advances, so a vertex moves
 // through O(log D) buckets.
 constexpr int kNumBuckets = 34;
+
+// Engage VGC only when the frontier's work is below kVgcEngageFactor*tau
+// edge operations — i.e. when per-round work is too small to amortize
+// scheduling on a many-core machine. Deliberately NOT scaled by the current
+// worker count: the algorithm's round structure should not change with the
+// machine it happens to run on.
+constexpr std::uint64_t kVgcEngageFactor = 16;
 
 int bucket_for(std::uint32_t gap) {
   if (gap == 0) return 0;
@@ -31,6 +39,8 @@ std::uint32_t entry_dist(std::uint64_t e) {
 
 }  // namespace
 
+namespace internal {
+
 // PASGAL BFS (§2.2): label-correcting BFS over hash-bag frontiers.
 //  * Sparse rounds run VGC local searches (budget tau) when the frontier is
 //    small, or one-hop expansion (tau=1) when it already has parallelism.
@@ -40,8 +50,12 @@ std::uint32_t entry_dist(std::uint64_t e) {
 //  * On clean dense levels, direction-optimized pull rounds take over, as in
 //    the best low-diameter BFS implementations.
 std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
-                                      VertexId source, PasgalBfsParams params,
-                                      RunStats* stats) {
+                                      const AlgoOptions& opt, Tracer* stats) {
+  const VertexId source = opt.source;
+  const VgcParams vgc_opt = opt.vgc;
+  const EdgeId dense_threshold_den = opt.dense_threshold_den;
+  const bool use_dense = opt.use_dense;
+  const CancelToken* const cancel = opt.cancel;
   std::size_t n = g.num_vertices();
   std::size_t m = g.num_edges();
   std::vector<std::atomic<std::uint32_t>> dist(n);
@@ -58,19 +72,17 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
   }
   bags[0]->insert(encode(source, 0));
 
-  const EdgeId dense_limit =
-      m / static_cast<EdgeId>(params.dense_threshold_den) + 1;
+  const EdgeId dense_limit = m / dense_threshold_den + 1;
   // VGC applies throughout the sparse regime: any frontier below the density
   // threshold is scheduling-bound on a many-core machine, which is exactly
-  // what local searches amortize. (vgc_engage_factor*tau acts as a floor so
+  // what local searches amortize. (kVgcEngageFactor*tau acts as a floor so
   // tiny tau values still engage near the source.)
-  const std::uint64_t vgc_limit =
-      std::max<std::uint64_t>(static_cast<std::uint64_t>(params.vgc.tau) *
-                                  params.vgc_engage_factor,
-                              dense_limit);
+  const std::uint64_t vgc_limit = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(vgc_opt.tau) * kVgcEngageFactor,
+      dense_limit);
 
   for (;;) {
-    if (params.cancel != nullptr) params.cancel->check("pasgal_bfs round");
+    if (cancel != nullptr) cancel->check("pasgal_bfs round");
     // Lowest non-empty bucket drives the next round.
     int lowest = -1;
     for (int b = 0; b < kNumBuckets; ++b) {
@@ -124,12 +136,10 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
     }
 
     // --- Dense (direction-optimized) phase -------------------------------
-    if (params.use_dense && bags_quiet && ready_work > dense_limit) {
+    if (use_dense && bags_quiet && ready_work > dense_limit) {
       std::uint32_t level = base;
       for (;;) {
-        if (params.cancel != nullptr) {
-          params.cancel->check("pasgal_bfs dense level");
-        }
+        if (cancel != nullptr) cancel->check("pasgal_bfs dense level");
         // Frontier by value: every vertex currently at `level`.
         std::vector<std::uint8_t> frontier(n);
         parallel_for(0, n, [&](std::size_t v) {
@@ -178,7 +188,7 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
     }
 
     // --- Sparse phase: VGC local searches (tau=1 when already parallel) ---
-    VgcParams vgc = params.vgc;
+    VgcParams vgc = vgc_opt;
     if (ready_work >= vgc_limit) vgc.tau = 1;
     if (stats) {
       stats->end_round(ready.size(),
@@ -215,5 +225,7 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
   });
   return out;
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -40,7 +40,7 @@ bool unite(std::vector<std::atomic<VertexId>>& parent, VertexId u, VertexId v) {
 
 }  // namespace
 
-ConnectivityResult connected_components(const Graph& g, RunStats* stats) {
+ConnectivityResult connected_components(const Graph& g, Tracer* stats) {
   // Manual CSR walk below (edge_target, unchecked unions indexed by target):
   // an un-deep-validated mmap open must fail typed here, not out of bounds.
   g.ensure_validated();
@@ -92,7 +92,7 @@ ConnectivityResult connected_components(const Graph& g, RunStats* stats) {
   return result;
 }
 
-std::vector<VertexId> label_prop_cc(const Graph& g, RunStats* stats) {
+std::vector<VertexId> label_prop_cc(const Graph& g, Tracer* stats) {
   // Classic synchronous min-label propagation: every round each vertex takes
   // the minimum of its own and its neighbours' previous-round labels. Needs
   // O(D) rounds — the per-round global synchronization cost the paper's

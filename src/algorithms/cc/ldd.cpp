@@ -8,7 +8,7 @@
 
 namespace pasgal {
 
-LddResult ldd(const Graph& g, double beta, std::uint64_t seed, RunStats* stats) {
+LddResult ldd(const Graph& g, double beta, std::uint64_t seed, Tracer* stats) {
   g.ensure_validated();  // cluster[v] CAS below indexes unchecked targets
   std::size_t n = g.num_vertices();
   Random rng(seed);
@@ -95,7 +95,7 @@ LddResult ldd(const Graph& g, double beta, std::uint64_t seed, RunStats* stats) 
 }
 
 std::vector<VertexId> ldd_cc(const Graph& g, double beta, std::uint64_t seed,
-                             RunStats* stats) {
+                             Tracer* stats) {
   g.ensure_validated();  // edge_target() feeds the contraction unchecked
   std::size_t n = g.num_vertices();
   // label[v]: current component representative in the ORIGINAL graph.

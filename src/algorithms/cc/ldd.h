@@ -16,7 +16,7 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -27,17 +27,21 @@ struct LddResult {
   std::size_t rounds = 0;
 };
 
-LddResult ldd(const Graph& g, double beta = 0.2, std::uint64_t seed = 1,
-              RunStats* stats = nullptr);
+// Default shift rate: clusters of O(log n / 0.2) diameter, ~0.2*m cut edges.
+// Much larger values shatter the graph into near-singleton clusters and cost
+// many more contraction rounds.
+inline constexpr double kLddBeta = 0.2;
+
+LddResult ldd(const Graph& g, double beta = kLddBeta, std::uint64_t seed = 1,
+              Tracer* stats = nullptr);
 
 // Connectivity labels (min vertex per component, same contract as
 // connected_components) computed by repeated LDD + contraction.
-std::vector<VertexId> ldd_cc(const Graph& g, double beta = 0.2,
-                             std::uint64_t seed = 1, RunStats* stats = nullptr);
+std::vector<VertexId> ldd_cc(const Graph& g, double beta = kLddBeta,
+                             std::uint64_t seed = 1, Tracer* stats = nullptr);
 
-// --- Modern entry point (algorithms/run_api.cpp) ----------------------------
-// beta/seed ride AlgoOptions::scc_beta / scc_seed (the same knobs the SCC
-// pivot batching uses).
+// --- Entry point (algorithms/run_api.cpp) -----------------------------------
+// Runs with beta = kLddBeta; the delays are seeded from AlgoOptions::scc_seed.
 RunReport<std::vector<VertexId>> ldd_cc(const Graph& g, const AlgoOptions& opt);
 
 }  // namespace pasgal

@@ -22,24 +22,25 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
-#include "pasgal/vgc.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
-std::vector<std::uint32_t> seq_kcore(const Graph& g, RunStats* stats = nullptr);
+std::vector<std::uint32_t> seq_kcore(const Graph& g, Tracer* stats = nullptr);
 
-struct KcoreParams {
-  VgcParams vgc;  // tau = 1 disables in-task peeling chains
-};
-
-std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params = {},
-                                        RunStats* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// pasgal_kcore reads vgc.tau (1 disables in-task peeling chains).
 RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
                                                 const AlgoOptions& opt);
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt);
+
+// --- Kernel behind the entry point (no input guard) -------------------------
+namespace internal {
+
+std::vector<std::uint32_t> pasgal_kcore(const Graph& g, const AlgoOptions& opt,
+                                        Tracer* stats);
+
+}  // namespace internal
 
 }  // namespace pasgal

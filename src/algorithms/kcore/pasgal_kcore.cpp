@@ -3,6 +3,7 @@
 
 #include "algorithms/kcore/kcore.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/vgc.h"
 
 namespace pasgal {
 
@@ -23,12 +24,15 @@ constexpr std::size_t kWindow = 64;  // open buckets [base, base + kWindow)
 
 }  // namespace
 
+namespace internal {
+
 // Parallel coreness by bucketed peeling (Julienne-style buckets built from
 // hash bags) with VGC: peeling v may drop a neighbour u to the current
 // level k; the peeling task then claims and peels u in-task (up to tau
 // vertices), collapsing O(length)-round peeling chains into one round.
-std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params,
-                                        RunStats* stats) {
+std::vector<std::uint32_t> pasgal_kcore(const Graph& g, const AlgoOptions& opt,
+                                        Tracer* stats) {
+  const std::uint32_t tau = opt.vgc.tau;
   // degree[u].fetch_sub below indexes unchecked neighbour ids; an
   // un-deep-validated mmap open must fail typed, not corrupt the buckets.
   g.ensure_validated();
@@ -105,8 +109,8 @@ std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params,
       continue;
     }
     if (stats) {
-      stats->end_round(ready.size(), params.vgc.tau > 1 ? RoundKind::kLocal
-                                                        : RoundKind::kSparse);
+      stats->end_round(ready.size(),
+                       tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
     }
 
     // Peel the wave; VGC keeps chains in-task.
@@ -130,8 +134,7 @@ std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params,
                   degree[u].fetch_sub(1, std::memory_order_relaxed) - 1;
               if (d <= k) {
                 // u falls into the current level.
-                if (peeled_in_task < params.vgc.tau &&
-                    stack.size() < params.vgc.local_stack_cap) {
+                if (peeled_in_task < tau && stack.size() < kVgcLocalStackCap) {
                   if (try_claim(u)) stack.push_back(u);
                 } else {
                   wave_bag.insert(encode(u, d));
@@ -163,5 +166,7 @@ std::vector<std::uint32_t> pasgal_kcore(const Graph& g, KcoreParams params,
   }
   return core;
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

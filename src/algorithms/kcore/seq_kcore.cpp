@@ -6,7 +6,7 @@ namespace pasgal {
 // bucket array; repeatedly remove a minimum-degree vertex, assign its
 // coreness, and decrement its unpeeled neighbours (moving them down one
 // bucket). O(n + m), the standard sequential baseline.
-std::vector<std::uint32_t> seq_kcore(const Graph& g, RunStats* stats) {
+std::vector<std::uint32_t> seq_kcore(const Graph& g, Tracer* stats) {
   g.ensure_validated();  // degree[u] bucket moves index unchecked targets
   std::size_t n = g.num_vertices();
   std::vector<std::uint32_t> degree(n);

@@ -52,8 +52,13 @@ std::vector<double> inverse_out_degrees(const Graph& g) {
 
 }  // namespace
 
+namespace internal {
+
 PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
-                            const PagerankParams& params, RunStats* stats) {
+                            const AlgoOptions& opt, Tracer* stats) {
+  const std::uint32_t max_iterations = opt.pagerank_iterations;
+  const double epsilon = opt.pagerank_epsilon;
+  const double damping = opt.pagerank_damping;
   std::size_t n = g.num_vertices();
   PagerankResult result;
   if (n == 0) return result;
@@ -66,10 +71,8 @@ PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
   std::shared_ptr<const DeltaSnapshot> din_hold =
       gt.storage() != nullptr ? gt.storage()->delta_snapshot() : nullptr;
   const DeltaSnapshot* din = din_hold.get();
-  for (std::uint32_t iter = 0; iter < params.max_iterations; ++iter) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("pagerank round boundary");
-    }
+  for (std::uint32_t iter = 0; iter < max_iterations; ++iter) {
+    if (opt.cancel != nullptr) opt.cancel->check("pagerank round boundary");
     for (std::size_t u = 0; u < n; ++u) contrib[u] = prev[u] * inv_out[u];
     for (std::size_t v = 0; v < n; ++v) {
       double acc = 0;
@@ -87,7 +90,7 @@ PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
       }
       sum[v] = acc;
     }
-    result.delta = combine_round(n, params.damping, prev, sum, inv_out, next);
+    result.delta = combine_round(n, damping, prev, sum, inv_out, next);
     std::swap(prev, next);
     ++result.iterations;
     if (stats) {
@@ -96,14 +99,17 @@ PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
       stats->set_round_delta(result.delta);
       stats->end_round(n, RoundKind::kDense);
     }
-    if (result.delta < params.epsilon) break;
+    if (result.delta < epsilon) break;
   }
   result.rank = std::move(prev);
   return result;
 }
 
 PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
-                               const PagerankParams& params, RunStats* stats) {
+                               const AlgoOptions& opt, Tracer* stats) {
+  const std::uint32_t max_iterations = opt.pagerank_iterations;
+  const double epsilon = opt.pagerank_epsilon;
+  const double damping = opt.pagerank_damping;
   std::size_t n = g.num_vertices();
   PagerankResult result;
   if (n == 0) return result;
@@ -118,10 +124,10 @@ PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
   VertexSubset all =
       VertexSubset::dense(std::vector<std::uint8_t>(n, 1), n);
   EdgeMapOptions eopt;
-  eopt.cancel = params.cancel;
+  eopt.cancel = opt.cancel;
   eopt.pull_exhaustive = true;
 
-  for (std::uint32_t iter = 0; iter < params.max_iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < max_iterations; ++iter) {
     parallel_for(0, n, [&](std::size_t u) {
       contrib[u] = prev[u] * inv_out[u];
       sum[u] = 0;
@@ -133,17 +139,19 @@ PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
           return false;  // no activation semantics; the frontier stays `all`
         },
         [](VertexId) { return true; }, eopt, stats);
-    result.delta = combine_round(n, params.damping, prev, sum, inv_out, next);
+    result.delta = combine_round(n, damping, prev, sum, inv_out, next);
     std::swap(prev, next);
     ++result.iterations;
     if (stats) {
       stats->set_round_delta(result.delta);
       stats->end_round(n, RoundKind::kDense);
     }
-    if (result.delta < params.epsilon) break;
+    if (result.delta < epsilon) break;
   }
   result.rank = std::move(prev);
   return result;
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -18,27 +18,17 @@
 // neighbours u of rank(u)/outdeg(u) + dangling_mass/n), where dangling_mass
 // is the rank held by zero-out-degree vertices (redistributed uniformly so
 // the ranks keep summing to 1). Iteration stops when the L1 delta between
-// consecutive rank vectors drops below epsilon, or after max_iterations.
+// consecutive rank vectors drops below epsilon, or after the iteration cap.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graphs/graph.h"
-#include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
-
-struct PagerankParams {
-  std::uint32_t max_iterations = 100;
-  double epsilon = 1e-7;  // L1 convergence threshold
-  double damping = 0.85;
-  // Checked at every round boundary (and, via edge_map, at every shard
-  // sweep boundary) by the round master; expiry unwinds with kTimeout.
-  const CancelToken* cancel = nullptr;
-};
 
 struct PagerankResult {
   std::vector<double> rank;     // sums to 1 (within rounding)
@@ -48,21 +38,29 @@ struct PagerankResult {
   bool operator==(const PagerankResult&) const = default;
 };
 
-// Sequential power iteration over explicit in-edges (gt). In-core only.
-PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
-                            const PagerankParams& params = {},
-                            RunStats* stats = nullptr);
-
-// Parallel dense pull through edge_map (g supplies out-degrees, gt supplies
-// in-edges). Works on sharded opens: the pull walks gt's shard plan.
-PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
-                               const PagerankParams& params = {},
-                               RunStats* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// Both read pagerank_iterations (round cap), pagerank_epsilon (L1
+// convergence threshold), pagerank_damping and cancel (checked at every round
+// boundary and, via edge_map, at every shard sweep boundary; expiry unwinds
+// with kTimeout).
+//   seq_pagerank    — sequential power iteration over explicit in-edges
+//                     (gt). In-core only.
+//   pasgal_pagerank — parallel dense pull through edge_map (g supplies
+//                     out-degrees, gt supplies in-edges). Works on sharded
+//                     opens: the pull walks gt's shard plan.
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
                                        const AlgoOptions& opt);
 RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt);
+
+// --- Kernels behind the entry points (no input guard) -----------------------
+namespace internal {
+
+PagerankResult seq_pagerank(const Graph& g, const Graph& gt,
+                            const AlgoOptions& opt, Tracer* stats);
+PagerankResult pasgal_pagerank(const Graph& g, const Graph& gt,
+                               const AlgoOptions& opt, Tracer* stats);
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -1,9 +1,9 @@
-// Modern AlgoOptions/RunReport entry points for every algorithm family.
+// AlgoOptions/RunReport entry points for every algorithm family.
 //
-// Each wrapper assembles the family's legacy parameter struct from the
-// shared AlgoOptions and routes the run through run_traced(), which owns the
-// tracer plumbing and the wall-clock/telemetry bookkeeping. The legacy
-// `(..., Params, RunStats*)` signatures remain the implementations.
+// Each wrapper guards its inputs and routes the run through run_traced(),
+// which owns the tracer plumbing and the wall-clock/telemetry bookkeeping.
+// The kernels read their knobs, source and cancel token from the same
+// AlgoOptions the caller passed.
 
 #include <chrono>
 #include <unordered_set>
@@ -25,7 +25,7 @@
 namespace pasgal {
 
 // Every wrapper starts with catalog::check_inputs under its catalog label:
-// the single choke point where the modern entry points lazily validate
+// the single choke point where the entry points lazily validate
 // their graph(s) (the O(1) mmap open path defers per-element CSR checks; a
 // no-op after the first call on a storage handle, see
 // Graph::ensure_validated) and apply the row's in_core and overlay columns.
@@ -34,41 +34,6 @@ namespace pasgal {
 // overlay (graphs/delta.h), against which it would silently compute on the
 // stale base. Toposort has no catalog row (no driver runs it) and applies
 // the same two guards directly.
-
-namespace {
-
-PasgalBfsParams bfs_params(const AlgoOptions& opt) {
-  PasgalBfsParams p;
-  p.vgc = opt.vgc;
-  p.vgc_engage_factor = opt.vgc_engage_factor;
-  p.dense_threshold_den = opt.dense_threshold_den;
-  p.use_dense = opt.use_dense;
-  p.cancel = opt.cancel;
-  return p;
-}
-
-SccParams scc_params(const AlgoOptions& opt) {
-  SccParams p;
-  p.vgc = opt.vgc;
-  p.dense_threshold_den = opt.dense_threshold_den;
-  p.use_dense = opt.use_dense;
-  p.beta = opt.scc_beta;
-  p.seed = opt.scc_seed;
-  return p;
-}
-
-SteppingParams stepping_params(const AlgoOptions& opt) {
-  SteppingParams p;
-  p.strategy = opt.sssp_delta_mode ? SteppingParams::Strategy::kDelta
-                                   : SteppingParams::Strategy::kRho;
-  p.delta = opt.sssp_delta;
-  p.rho = opt.sssp_rho;
-  p.vgc = opt.vgc;
-  p.cancel = opt.cancel;
-  return p;
-}
-
-}  // namespace
 
 // --- batch source validation -------------------------------------------------
 
@@ -121,33 +86,27 @@ RunReport<std::vector<std::uint32_t>> gbbs_bfs(const Graph& g, const Graph& gt,
 RunReport<std::vector<std::uint32_t>> gapbs_bfs(const Graph& g, const Graph& gt,
                                                 const AlgoOptions& opt) {
   catalog::check_inputs("gapbs-bfs", g, &gt);
-  GapbsParams p{opt.gapbs_alpha, opt.gapbs_beta};
   return run_traced(
-      opt, [&](Tracer* t) { return gapbs_bfs(g, gt, opt.source, p, t); });
+      opt, [&](Tracer* t) { return internal::gapbs_bfs(g, gt, opt, t); });
 }
 
 RunReport<std::vector<std::uint32_t>> pasgal_bfs(const Graph& g,
                                                  const Graph& gt,
                                                  const AlgoOptions& opt) {
   catalog::check_inputs("pasgal-bfs", g, &gt);
-  PasgalBfsParams p = bfs_params(opt);
   return run_traced(
-      opt, [&](Tracer* t) { return pasgal_bfs(g, gt, opt.source, p, t); });
+      opt, [&](Tracer* t) { return internal::pasgal_bfs(g, gt, opt, t); });
 }
 
 BatchReport<std::vector<std::uint32_t>> ms_bfs(const Graph& g, const Graph& gt,
                                                const BatchOptions& opt) {
   catalog::check_inputs("ms-bfs", g, &gt, /*batch=*/true);
   check_batch_sources(opt.sources, g.num_vertices());
-  MsBfsParams p;
-  p.dense_threshold_den = opt.algo.dense_threshold_den;
-  p.use_dense = opt.algo.use_dense;
-  p.cancel = opt.algo.cancel;
   Tracer local;
   Tracer* tracer = opt.algo.tracer != nullptr ? opt.algo.tracer : &local;
   tracer->reset();
   auto start = std::chrono::steady_clock::now();
-  auto dists = ms_bfs(g, gt, opt.sources, p, tracer);
+  auto dists = internal::ms_bfs(g, gt, opt, tracer);
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -181,19 +140,26 @@ RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
       opt, [&](Tracer* t) { return bellman_ford(g, opt.source, t); });
 }
 
+RunReport<std::vector<Dist>> em_bellman_ford(
+    const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
+  catalog::check_inputs("em-bellman-ford", g);
+  return run_traced(opt, [&](Tracer* t) {
+    return em_bellman_ford(g, opt.source, opt.cancel, t);
+  });
+}
+
 RunReport<std::vector<Dist>> stepping_sssp(
     const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
   catalog::check_inputs("stepping SSSP", g);
-  SteppingParams p = stepping_params(opt);
   return run_traced(
-      opt, [&](Tracer* t) { return stepping_sssp(g, opt.source, p, t); });
+      opt, [&](Tracer* t) { return internal::stepping_sssp(g, opt, t); });
 }
 
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt) {
   catalog::check_inputs("stepping SSSP", g, /*batch=*/true);
   check_batch_sources(opt.sources, g.num_vertices());
-  SteppingParams p = stepping_params(opt.algo);
+  AlgoOptions one = opt.algo;  // `source` varies per run
   Tracer local;
   Tracer* tracer = opt.algo.tracer != nullptr ? opt.algo.tracer : &local;
   tracer->reset();
@@ -206,7 +172,8 @@ BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
   // CancelToken (expiry unwinds the whole batch with kTimeout).
   for (std::size_t i = 0; i < opt.sources.size(); ++i) {
     auto start = std::chrono::steady_clock::now();
-    report.per_source[i].output = stepping_sssp(g, opt.sources[i], p, tracer);
+    one.source = opt.sources[i];
+    report.per_source[i].output = internal::stepping_sssp(g, one, tracer);
     report.per_source[i].seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -229,24 +196,23 @@ RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
                                             const AlgoOptions& opt) {
   catalog::check_inputs("pasgal-scc", g, &gt);
-  SccParams p = scc_params(opt);
-  return run_traced(opt,
-                    [&](Tracer* t) { return pasgal_scc(g, gt, p, t); });
+  return run_traced(
+      opt, [&](Tracer* t) { return internal::pasgal_scc(g, gt, opt, t); });
 }
 
 RunReport<std::vector<SccLabel>> gbbs_scc(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
   catalog::check_inputs("gbbs-scc", g, &gt);
-  SccParams p = scc_params(opt);
-  return run_traced(opt, [&](Tracer* t) { return gbbs_scc(g, gt, p, t); });
+  return run_traced(
+      opt, [&](Tracer* t) { return internal::gbbs_scc(g, gt, opt, t); });
 }
 
 RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt) {
   catalog::check_inputs("multistep-scc", g, &gt);
-  MultistepParams p{opt.multistep_cutoff};
-  return run_traced(opt,
-                    [&](Tracer* t) { return multistep_scc(g, gt, p, t); });
+  return run_traced(opt, [&](Tracer* t) {
+    return internal::multistep_scc(g, gt, opt, t);
+  });
 }
 
 // --- BCC ---------------------------------------------------------------------
@@ -291,7 +257,7 @@ RunReport<std::vector<VertexId>> ldd_cc(const Graph& g,
                                         const AlgoOptions& opt) {
   catalog::check_inputs("ldd-cc", g);
   return run_traced(opt, [&](Tracer* t) {
-    return ldd_cc(g, opt.scc_beta, opt.scc_seed, t);
+    return ldd_cc(g, kLddBeta, opt.scc_seed, t);
   });
 }
 
@@ -306,39 +272,26 @@ RunReport<std::vector<std::uint32_t>> seq_kcore(const Graph& g,
 RunReport<std::vector<std::uint32_t>> pasgal_kcore(const Graph& g,
                                                    const AlgoOptions& opt) {
   catalog::check_inputs("pasgal-kcore", g);
-  KcoreParams p{opt.vgc};
-  return run_traced(opt, [&](Tracer* t) { return pasgal_kcore(g, p, t); });
+  return run_traced(
+      opt, [&](Tracer* t) { return internal::pasgal_kcore(g, opt, t); });
 }
 
 // --- PageRank ----------------------------------------------------------------
 
-namespace {
-
-PagerankParams pagerank_params(const AlgoOptions& opt) {
-  PagerankParams p;
-  p.max_iterations = opt.pagerank_iterations;
-  p.epsilon = opt.pagerank_epsilon;
-  p.damping = opt.pagerank_damping;
-  p.cancel = opt.cancel;
-  return p;
-}
-
-}  // namespace
-
 RunReport<PagerankResult> seq_pagerank(const Graph& g, const Graph& gt,
                                        const AlgoOptions& opt) {
   catalog::check_inputs("seq-pagerank", g, &gt);
-  PagerankParams p = pagerank_params(opt);
-  return run_traced(opt,
-                    [&](Tracer* t) { return seq_pagerank(g, gt, p, t); });
+  return run_traced(opt, [&](Tracer* t) {
+    return internal::seq_pagerank(g, gt, opt, t);
+  });
 }
 
 RunReport<PagerankResult> pasgal_pagerank(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt) {
   catalog::check_inputs("pasgal-pagerank", g, &gt);
-  PagerankParams p = pagerank_params(opt);
-  return run_traced(opt,
-                    [&](Tracer* t) { return pasgal_pagerank(g, gt, p, t); });
+  return run_traced(opt, [&](Tracer* t) {
+    return internal::pasgal_pagerank(g, gt, opt, t);
+  });
 }
 
 // --- triangle counting -------------------------------------------------------
@@ -350,9 +303,8 @@ RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt) {
 
 RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt) {
   catalog::check_inputs("pasgal-tc", g);
-  TcParams p;
-  p.cancel = opt.cancel;
-  return run_traced(opt, [&](Tracer* t) { return pasgal_tc(g, p, t); });
+  return run_traced(
+      opt, [&](Tracer* t) { return internal::pasgal_tc(g, opt, t); });
 }
 
 // --- toposort ----------------------------------------------------------------
@@ -374,10 +326,9 @@ RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
   g.ensure_validated();
   g.ensure_in_core("pasgal-toposort");
   g.ensure_no_delta("pasgal-toposort");
-  ToposortParams p{opt.vgc};
   return run_traced(opt, [&](Tracer* t) {
     std::vector<std::uint32_t> levels;
-    pasgal_toposort(g, levels, p, t).throw_if_error();
+    internal::pasgal_toposort(g, levels, opt, t).throw_if_error();
     return levels;
   });
 }

@@ -12,6 +12,8 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 
 }  // namespace
 
+namespace internal {
+
 // Multistep SCC (Slota, Rajamanickam, Madduri; IPDPS'14):
 //   1. trim trivial SCCs,
 //   2. FW-BW from a max-degree-product pivot extracts the giant SCC,
@@ -22,7 +24,8 @@ SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 // and degrades on large-diameter inputs — the coloring propagation needs
 // O(D) synchronized rounds, which our instrumentation exposes.
 std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
-                                    MultistepParams params, RunStats* stats) {
+                                    const AlgoOptions& opt, Tracer* stats) {
+  const std::size_t sequential_cutoff = opt.multistep_cutoff;
   std::size_t n = g.num_vertices();
   if (n == 0) return {};
   std::vector<std::atomic<SccLabel>> label(n);
@@ -56,8 +59,10 @@ std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
   if (stats) stats->end_round(n);
 
   std::vector<std::uint64_t> no_sub(n, 0);
-  internal::ReachParams reach_params;  // frontier-order reach, dense-capable
-  reach_params.vgc.tau = 1;
+  // Frontier-order reach with the default direction settings, whatever the
+  // caller's knobs.
+  AlgoOptions reach_opt;
+  reach_opt.vgc.tau = 1;
 
   // --- 2. FW-BW around the heaviest pivot.
   VertexId pivot = kInvalidVertex;
@@ -77,12 +82,11 @@ std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
       fw[i].store(0, std::memory_order_relaxed);
       bw[i].store(0, std::memory_order_relaxed);
     });
-    internal::multi_reach(g, gt, {pivot}, no_sub, live, fw, reach_params, stats);
+    multi_reach(g, gt, {pivot}, no_sub, live, fw, reach_opt, stats);
     auto live_in_fw = [&](VertexId v) {
       return live(v) && fw[v].load(std::memory_order_relaxed);
     };
-    internal::multi_reach(gt, g, {pivot}, no_sub, live_in_fw, bw, reach_params,
-                          stats);
+    multi_reach(gt, g, {pivot}, no_sub, live_in_fw, bw, reach_opt, stats);
     parallel_for(0, n, [&](std::size_t vi) {
       VertexId v = static_cast<VertexId>(vi);
       if (live(v) && fw[v].load(std::memory_order_relaxed) &&
@@ -99,7 +103,7 @@ std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
     });
   };
   std::size_t remaining = live_count();
-  while (remaining > params.sequential_cutoff) {
+  while (remaining > sequential_cutoff) {
     std::vector<std::atomic<std::uint64_t>> color(n);
     parallel_for(0, n, [&](std::size_t v) {
       color[v].store(v, std::memory_order_relaxed);
@@ -138,8 +142,7 @@ std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
     parallel_for(0, n, [&](std::size_t i) {
       bw[i].store(0, std::memory_order_relaxed);
     });
-    internal::multi_reach(gt, g, roots, color_plain, live, bw, reach_params,
-                          stats);
+    multi_reach(gt, g, roots, color_plain, live, bw, reach_opt, stats);
     parallel_for(0, n, [&](std::size_t vi) {
       VertexId v = static_cast<VertexId>(vi);
       if (live(v) && bw[v].load(std::memory_order_relaxed)) {
@@ -187,5 +190,7 @@ std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
     return label[v].load(std::memory_order_relaxed);
   });
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -20,14 +20,19 @@ constexpr SccLabel kUnassigned = static_cast<SccLabel>(-1);
 //                      4p+2 (BW only), 4p+3 (neither).
 SccLabel scc_label_of(VertexId p) { return 4 * static_cast<SccLabel>(p); }
 
+// Pivot batch growth: round r uses ~kPivotGrowth^r pivots.
+constexpr double kPivotGrowth = 2.0;
+
 }  // namespace
+
+namespace internal {
 
 // The BGSS-style randomized SCC framework (Wang et al., PPoPP'23 as used by
 // PASGAL): trim, then rounds of batched pivots with forward/backward
 // reachability; each reachability search uses VGC + hash bags (pasgal_scc)
 // or strict frontier order (gbbs_scc via tau=1).
 std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
-                                 SccParams params, RunStats* stats) {
+                                 const AlgoOptions& opt, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::vector<std::atomic<SccLabel>> label(n);
   parallel_for(0, n, [&](std::size_t i) {
@@ -64,7 +69,7 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
 
   // --- Randomized pivot order.
   if (stats) stats->phase_begin("partition");
-  Random rng(params.seed);
+  Random rng(opt.scc_seed);
   auto perm = tabulate(n, [](std::size_t i) { return static_cast<VertexId>(i); });
   integer_sort_inplace(
       std::span<VertexId>(perm),
@@ -93,8 +98,6 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
   });
 
   std::vector<std::atomic<std::uint8_t>> fw(n), bw(n);
-  internal::ReachParams reach_params{params.vgc, params.dense_threshold_den,
-                                     params.use_dense};
 
   // Worklist in permutation order. Batch members that stay live (their
   // subproblem had a different pivot and they landed outside fw∩bw) are
@@ -107,7 +110,7 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
   while (!pending.empty()) {
     std::size_t take = std::min(pending.size(), batch_size);
     batch_size = static_cast<std::size_t>(
-        static_cast<double>(batch_size) * params.beta) + 1;
+        static_cast<double>(batch_size) * kPivotGrowth) + 1;
     ++round;
 
     // Batch = still-live vertices among the first `take` pending entries.
@@ -151,8 +154,8 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
       fw[i].store(0, std::memory_order_relaxed);
       bw[i].store(0, std::memory_order_relaxed);
     });
-    internal::multi_reach(g, gt, pivots, sub, live, fw, reach_params, stats);
-    internal::multi_reach(gt, g, pivots, sub, live, bw, reach_params, stats);
+    multi_reach(g, gt, pivots, sub, live, fw, opt, stats);
+    multi_reach(gt, g, pivots, sub, live, bw, opt, stats);
 
     // Classify every live vertex of a pivoted subproblem.
     parallel_for(0, n, [&](std::size_t vi) {
@@ -188,11 +191,14 @@ std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
 }
 
 std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
-                               SccParams params, RunStats* stats) {
+                               const AlgoOptions& opt, Tracer* stats) {
   // Same framework, reachability in strict one-hop frontier order: this is
   // the GBBS-style baseline whose round count scales with the diameter.
-  params.vgc.tau = 1;
-  return pasgal_scc(g, gt, params, stats);
+  AlgoOptions one_hop = opt;
+  one_hop.vgc.tau = 1;
+  return pasgal_scc(g, gt, one_hop, stats);
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -22,43 +22,18 @@
 
 #include "graphs/graph.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
-#include "pasgal/vgc.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
 using SccLabel = std::uint64_t;
 
-std::vector<SccLabel> tarjan_scc(const Graph& g, RunStats* stats = nullptr);
+std::vector<SccLabel> tarjan_scc(const Graph& g, Tracer* stats = nullptr);
 
-struct SccParams {
-  VgcParams vgc;
-  // Dense (pull) reachability rounds when frontier work > m/den.
-  EdgeId dense_threshold_den = 20;
-  bool use_dense = true;
-  // Batch growth: round r uses ~beta^r pivots.
-  double beta = 2.0;
-  std::uint64_t seed = 42;
-};
-
-std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
-                                 SccParams params = {},
-                                 RunStats* stats = nullptr);
-
-std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
-                               SccParams params = {}, RunStats* stats = nullptr);
-
-struct MultistepParams {
-  // Switch to sequential Tarjan when this many vertices remain.
-  std::size_t sequential_cutoff = 1000;
-};
-std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
-                                    MultistepParams params = {},
-                                    RunStats* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// The SCC family reads vgc/dense/scc_beta/scc_seed/multistep_cutoff from the
-// options.
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// pasgal_scc reads vgc.tau, dense_threshold_den, use_dense and scc_seed;
+// gbbs_scc the same with tau forced to 1; multistep_scc reads
+// multistep_cutoff (vertices left when it hands over to sequential Tarjan).
 RunReport<std::vector<SccLabel>> tarjan_scc(const Graph& g,
                                             const AlgoOptions& opt);
 RunReport<std::vector<SccLabel>> pasgal_scc(const Graph& g, const Graph& gt,
@@ -67,6 +42,18 @@ RunReport<std::vector<SccLabel>> gbbs_scc(const Graph& g, const Graph& gt,
                                           const AlgoOptions& opt);
 RunReport<std::vector<SccLabel>> multistep_scc(const Graph& g, const Graph& gt,
                                                const AlgoOptions& opt);
+
+// --- Kernels behind the entry points (no input guard) -----------------------
+namespace internal {
+
+std::vector<SccLabel> pasgal_scc(const Graph& g, const Graph& gt,
+                                 const AlgoOptions& opt, Tracer* stats);
+std::vector<SccLabel> gbbs_scc(const Graph& g, const Graph& gt,
+                               const AlgoOptions& opt, Tracer* stats);
+std::vector<SccLabel> multistep_scc(const Graph& g, const Graph& gt,
+                                    const AlgoOptions& opt, Tracer* stats);
+
+}  // namespace internal
 
 // Rewrites labels so each SCC is named by its smallest vertex id; makes
 // outputs of different algorithms directly comparable.

@@ -5,7 +5,7 @@ namespace pasgal {
 // Tarjan's SCC algorithm (the paper's sequential baseline), made iterative
 // with an explicit DFS stack so adversarial graphs (e.g. a 10^6-vertex chain)
 // cannot overflow the call stack.
-std::vector<SccLabel> tarjan_scc(const Graph& g, RunStats* stats) {
+std::vector<SccLabel> tarjan_scc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> index(n, kUnvisited);

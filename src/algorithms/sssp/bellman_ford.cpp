@@ -10,7 +10,7 @@ namespace pasgal {
 // synchronization per round and up to O(n) rounds on weighted paths — the
 // round-count pathology the stepping framework avoids.
 std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                               VertexId source, RunStats* stats) {
+                               VertexId source, Tracer* stats) {
   check_sssp_preconditions(g, source, kInfWeightDist - 1).throw_if_error();
   std::size_t n = g.num_vertices();
   std::vector<std::atomic<Dist>> dist(n);

@@ -7,7 +7,7 @@ namespace pasgal {
 // Sequential Dijkstra with a binary heap and lazy deletion — the standard
 // sequential SSSP baseline.
 std::vector<Dist> dijkstra(const WeightedGraph<std::uint32_t>& g,
-                           VertexId source, RunStats* stats) {
+                           VertexId source, Tracer* stats) {
   check_sssp_preconditions(g, source, kInfWeightDist - 1).throw_if_error();
   std::size_t n = g.num_vertices();
   std::vector<Dist> dist(n, kInfWeightDist);

@@ -1,6 +1,5 @@
 #include <atomic>
 
-#include "algorithms/catalog.h"
 #include "algorithms/sssp/sssp.h"
 #include "parlay/primitives.h"
 #include "pasgal/edge_map.h"
@@ -21,7 +20,7 @@ namespace pasgal {
 // are byte-identical to bellman_ford/dijkstra on the same graph.
 std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                   VertexId source, const CancelToken* cancel,
-                                  RunStats* stats) {
+                                  Tracer* stats) {
   check_sssp_preconditions(g, source, kInfWeightDist - 1).throw_if_error();
   const Graph& ug = g.unweighted();
   std::size_t n = g.num_vertices();
@@ -50,14 +49,6 @@ std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
 
   return tabulate(n, [&](std::size_t v) {
     return dist[v].load(std::memory_order_relaxed);
-  });
-}
-
-RunReport<std::vector<Dist>> em_bellman_ford(
-    const WeightedGraph<std::uint32_t>& g, const AlgoOptions& opt) {
-  catalog::check_inputs("em-bellman-ford", g);
-  return run_traced(opt, [&](Tracer* t) {
-    return em_bellman_ford(g, opt.source, opt.cancel, t);
   });
 }
 

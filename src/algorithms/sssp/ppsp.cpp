@@ -13,7 +13,7 @@ using MinHeap =
 }  // namespace
 
 Dist ppsp_dijkstra(const WeightedGraph<std::uint32_t>& g, VertexId source,
-                   VertexId target, RunStats* stats) {
+                   VertexId target, Tracer* stats) {
   std::size_t n = g.num_vertices();
   std::vector<Dist> dist(n, kInfWeightDist);
   MinHeap heap;
@@ -46,7 +46,7 @@ Dist ppsp_dijkstra(const WeightedGraph<std::uint32_t>& g, VertexId source,
 
 Dist ppsp_bidirectional(const WeightedGraph<std::uint32_t>& g,
                         const WeightedGraph<std::uint32_t>& gt, VertexId source,
-                        VertexId target, RunStats* stats) {
+                        VertexId target, Tracer* stats) {
   std::size_t n = g.num_vertices();
   if (source == target) return 0;
   std::vector<Dist> dist_f(n, kInfWeightDist), dist_b(n, kInfWeightDist);

@@ -8,7 +8,7 @@
 //                         d-ball, a large win on large-diameter graphs.
 //
 // Both return the distance (kInfWeightDist if t unreachable) and report the
-// number of settled vertices through RunStats::vertices_visited.
+// number of settled vertices through Tracer::vertices_visited.
 #pragma once
 
 #include "algorithms/sssp/sssp.h"
@@ -16,11 +16,11 @@
 namespace pasgal {
 
 Dist ppsp_dijkstra(const WeightedGraph<std::uint32_t>& g, VertexId source,
-                   VertexId target, RunStats* stats = nullptr);
+                   VertexId target, Tracer* stats = nullptr);
 
 // `gt` must be the weighted transpose of `g`.
 Dist ppsp_bidirectional(const WeightedGraph<std::uint32_t>& g,
                         const WeightedGraph<std::uint32_t>& gt, VertexId source,
-                        VertexId target, RunStats* stats = nullptr);
+                        VertexId target, Tracer* stats = nullptr);
 
 }  // namespace pasgal

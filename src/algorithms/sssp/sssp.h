@@ -23,8 +23,7 @@
 #include "pasgal/cancel.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
-#include "pasgal/vgc.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -43,10 +42,10 @@ Status check_sssp_preconditions(const WeightedGraph<std::uint32_t>& g,
                                 VertexId source, Dist max_dist);
 
 std::vector<Dist> dijkstra(const WeightedGraph<std::uint32_t>& g,
-                           VertexId source, RunStats* stats = nullptr);
+                           VertexId source, Tracer* stats = nullptr);
 
 std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
-                               VertexId source, RunStats* stats = nullptr);
+                               VertexId source, Tracer* stats = nullptr);
 
 // Bellman-Ford through the edge_map choke point (`-a em`): same recurrence
 // and same final distances as bellman_ford, but every edge scan goes through
@@ -55,39 +54,12 @@ std::vector<Dist> bellman_ford(const WeightedGraph<std::uint32_t>& g,
 std::vector<Dist> em_bellman_ford(const WeightedGraph<std::uint32_t>& g,
                                   VertexId source,
                                   const CancelToken* cancel = nullptr,
-                                  RunStats* stats = nullptr);
+                                  Tracer* stats = nullptr);
 
-struct SteppingParams {
-  enum class Strategy { kDelta, kRho };
-  Strategy strategy = Strategy::kRho;
-  Dist delta = 32;          // kDelta: bucket width
-  std::size_t rho = 8192;   // kRho: entries processed per step
-  VgcParams vgc;            // tau = 1 disables VGC
-  // Checked at every step boundary; throws kTimeout on expiry.
-  const CancelToken* cancel = nullptr;
-};
-
-std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
-                                VertexId source, SteppingParams params = {},
-                                RunStats* stats = nullptr);
-
-// Convenience wrappers matching the paper's naming.
-inline std::vector<Dist> rho_stepping(const WeightedGraph<std::uint32_t>& g,
-                                      VertexId source, RunStats* stats = nullptr) {
-  return stepping_sssp(g, source, {}, stats);
-}
-inline std::vector<Dist> delta_stepping(const WeightedGraph<std::uint32_t>& g,
-                                        VertexId source, Dist delta = 32,
-                                        RunStats* stats = nullptr) {
-  SteppingParams p;
-  p.strategy = SteppingParams::Strategy::kDelta;
-  p.delta = delta;
-  return stepping_sssp(g, source, p, stats);
-}
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// stepping_sssp reads sssp_delta_mode/sssp_delta/sssp_rho and the VGC knobs
-// from the options.
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// stepping_sssp reads source, sssp_delta_mode (rho-stepping unless set),
+// sssp_delta, sssp_rho, vgc.tau (1 disables VGC) and cancel (checked at every
+// step boundary); em_bellman_ford reads source and cancel.
 RunReport<std::vector<Dist>> dijkstra(const WeightedGraph<std::uint32_t>& g,
                                       const AlgoOptions& opt);
 RunReport<std::vector<Dist>> bellman_ford(const WeightedGraph<std::uint32_t>& g,
@@ -106,5 +78,14 @@ RunReport<std::vector<Dist>> stepping_sssp(const WeightedGraph<std::uint32_t>& g
 // run's rounds.
 BatchReport<std::vector<Dist>> batch_sssp(const WeightedGraph<std::uint32_t>& g,
                                           const BatchOptions& opt);
+
+namespace internal {
+
+// The stepping framework behind stepping_sssp and batch_sssp (no input
+// guard; see catalog::check_inputs).
+std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
+                                const AlgoOptions& opt, Tracer* stats);
+
+}  // namespace internal
 
 }  // namespace pasgal

@@ -6,6 +6,7 @@
 
 #include "algorithms/sssp/sssp.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/vgc.h"
 
 namespace pasgal {
 
@@ -35,14 +36,21 @@ int bucket_for(std::uint32_t gap) {
 
 }  // namespace
 
+namespace internal {
+
 // The stepping algorithm framework (Dong, Gu, Sun — PPoPP'21) with hash-bag
 // frontiers and VGC local relaxations. Each step settles the entries below a
 // strategy-chosen threshold:
 //   delta-stepping: threshold = base + delta,
 //   rho-stepping:   threshold = distance of the rho-th closest entry.
 std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
-                                VertexId source, SteppingParams params,
-                                RunStats* stats) {
+                                const AlgoOptions& opt, Tracer* stats) {
+  const VertexId source = opt.source;
+  const bool delta_mode = opt.sssp_delta_mode;
+  const Dist delta = opt.sssp_delta;
+  const std::size_t rho = opt.sssp_rho;
+  const VgcParams vgc = opt.vgc;
+  const CancelToken* const cancel = opt.cancel;
   // Tentative distances are packed into 32 bits (see encode() above), so the
   // ceiling here is kInf32 - 1, not the 64-bit kInfWeightDist.
   check_sssp_preconditions(g, source, static_cast<Dist>(kInf32) - 1)
@@ -63,7 +71,7 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
   bags[0]->insert(encode(source, 0));
 
   for (;;) {
-    if (params.cancel != nullptr) params.cancel->check("stepping_sssp step");
+    if (cancel != nullptr) cancel->check("stepping_sssp step");
     int lowest = -1;
     for (int b = 0; b < kNumBuckets; ++b) {
       if (!bags[b]->empty()) {
@@ -88,26 +96,26 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
 
     // Strategy: pick the settling threshold for this step.
     std::uint32_t threshold;
-    if (params.strategy == SteppingParams::Strategy::kDelta) {
-      // params.delta is a 64-bit Dist: base + delta can wrap, and a wrapped
+    if (delta_mode) {
+      // delta is a 64-bit Dist: base + delta can wrap, and a wrapped
       // sum lands below base, which would settle nothing and re-insert every
       // entry into the same bucket forever. Saturate on wrap as well as on
       // overshoot past the 32-bit distance ceiling.
-      std::uint64_t t = static_cast<std::uint64_t>(base) + params.delta;
+      std::uint64_t t = static_cast<std::uint64_t>(base) + delta;
       if (t < base || t > static_cast<std::uint64_t>(kInf32) - 1) {
         t = static_cast<std::uint64_t>(kInf32) - 1;
       }
       threshold = static_cast<std::uint32_t>(t);
-    } else if (valid.size() <= params.rho) {
+    } else if (valid.size() <= rho) {
       threshold = kInf32 - 1;  // settle everything extracted
     } else {
       auto dists = tabulate(valid.size(), [&](std::size_t i) {
         return entry_dist(valid[i]);
       });
       std::nth_element(dists.begin(),
-                       dists.begin() + static_cast<std::ptrdiff_t>(params.rho - 1),
+                       dists.begin() + static_cast<std::ptrdiff_t>(rho - 1),
                        dists.end());
-      threshold = dists[params.rho - 1];
+      threshold = dists[rho - 1];
     }
 
     std::vector<std::uint64_t> ready;
@@ -122,8 +130,8 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
     if (ready.empty()) continue;
 
     if (stats) {
-      stats->end_round(ready.size(), params.vgc.tau > 1 ? RoundKind::kLocal
-                                                        : RoundKind::kSparse);
+      stats->end_round(ready.size(), vgc.tau > 1 ? RoundKind::kLocal
+                                                 : RoundKind::kSparse);
     }
     parallel_for(
         0, ready.size(),
@@ -132,7 +140,7 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
           std::uint32_t root_dist = entry_dist(ready[i]);
           std::uint64_t edges = 0;
           local_search_dist(
-              root, root_dist, params.vgc,
+              root, root_dist, vgc,
               [&](VertexId u, std::uint32_t du, auto&& emit) {
                 if (dist[u].load(std::memory_order_relaxed) != du) return;
                 for (EdgeId e = g.edge_begin(u); e < g.edge_end(u); ++e) {
@@ -163,5 +171,7 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
     return d == kInf32 ? kInfWeightDist : static_cast<Dist>(d);
   });
 }
+
+}  // namespace internal
 
 }  // namespace pasgal

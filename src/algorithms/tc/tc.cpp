@@ -110,7 +110,7 @@ std::uint64_t count_from(const Dag& dag, VertexId u, const Intersect& inter,
 
 }  // namespace
 
-std::uint64_t seq_tc(const Graph& g, RunStats* stats) {
+std::uint64_t seq_tc(const Graph& g, Tracer* stats) {
   std::size_t n = g.num_vertices();
   Dag dag = build_dag(g);
   std::uint64_t triangles = 0;
@@ -126,8 +126,9 @@ std::uint64_t seq_tc(const Graph& g, RunStats* stats) {
   return triangles;
 }
 
-std::uint64_t pasgal_tc(const Graph& g, const TcParams& params,
-                        RunStats* stats) {
+std::uint64_t internal::pasgal_tc(const Graph& g, const AlgoOptions& opt,
+                                  Tracer* stats) {
+  const CancelToken* const cancel = opt.cancel;
   std::size_t n = g.num_vertices();
   Dag dag = build_dag(g);
   // Sources are processed in blocks: the block boundary is where the round
@@ -136,9 +137,7 @@ std::uint64_t pasgal_tc(const Graph& g, const TcParams& params,
   constexpr std::size_t kBlock = 1 << 16;
   std::uint64_t triangles = 0;
   for (std::size_t lo = 0; lo < n; lo += kBlock) {
-    if (params.cancel != nullptr) {
-      params.cancel->check("tc block boundary");
-    }
+    if (cancel != nullptr) cancel->check("tc block boundary");
     std::size_t hi = std::min(n, lo + kBlock);
     triangles += reduce_indexed<std::uint64_t>(
         hi - lo, 0, std::plus<std::uint64_t>{}, [&](std::size_t rel) {

@@ -22,9 +22,8 @@
 #include <cstdint>
 
 #include "graphs/graph.h"
-#include "pasgal/cancel.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
@@ -32,21 +31,22 @@ namespace pasgal {
 // binary-searching the shorter list into the longer one.
 inline constexpr std::uint64_t kTcBinarySearchRatio = 8;
 
-struct TcParams {
-  // Checked between source blocks (the kernel's round boundaries); expiry
-  // unwinds with a typed kTimeout before the next block starts.
-  const CancelToken* cancel = nullptr;
-};
-
 // Number of triangles in the symmetrized input graph. The input must carry
 // each undirected edge in both directions (Graph::symmetrize output);
 // self-loops are ignored, duplicate edges must already be deduplicated.
-std::uint64_t seq_tc(const Graph& g, RunStats* stats = nullptr);
-std::uint64_t pasgal_tc(const Graph& g, const TcParams& params = {},
-                        RunStats* stats = nullptr);
+std::uint64_t seq_tc(const Graph& g, Tracer* stats = nullptr);
 
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// pasgal_tc reads cancel, checked between source blocks (the kernel's round
+// boundaries); expiry unwinds with a typed kTimeout before the next block.
 RunReport<std::uint64_t> seq_tc(const Graph& g, const AlgoOptions& opt);
 RunReport<std::uint64_t> pasgal_tc(const Graph& g, const AlgoOptions& opt);
+
+// --- Kernel behind the entry point (no input guard) -------------------------
+namespace internal {
+
+std::uint64_t pasgal_tc(const Graph& g, const AlgoOptions& opt, Tracer* stats);
+
+}  // namespace internal
 
 }  // namespace pasgal

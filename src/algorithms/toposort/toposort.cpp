@@ -5,6 +5,7 @@
 
 #include "parlay/sort.h"
 #include "pasgal/hashbag.h"
+#include "pasgal/vgc.h"
 
 namespace pasgal {
 
@@ -20,7 +21,7 @@ Status cycle_status(std::size_t unfinished, std::size_t n) {
 }  // namespace
 
 Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                    RunStats* stats) {
+                    Tracer* stats) {
   levels.clear();
   std::size_t n = g.num_vertices();
   Graph gt = g.transpose();
@@ -56,8 +57,10 @@ Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
 // atomic write_max; a vertex is finished (and its successors decremented)
 // exactly once, when its in-degree counter hits zero — by then all
 // predecessors have contributed their level, so level[v] is final.
-Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                       ToposortParams params, RunStats* stats) {
+Status internal::pasgal_toposort(const Graph& g,
+                                 std::vector<std::uint32_t>& levels,
+                                 const AlgoOptions& opt, Tracer* stats) {
+  const std::uint32_t tau = opt.vgc.tau;
   levels.clear();
   std::size_t n = g.num_vertices();
   Graph gt = g.transpose();
@@ -79,9 +82,8 @@ Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
   std::vector<VertexId> frontier = std::move(roots);
   while (!frontier.empty()) {
     if (stats) {
-      stats->end_round(frontier.size(), params.vgc.tau > 1
-                                            ? RoundKind::kLocal
-                                            : RoundKind::kSparse);
+      stats->end_round(frontier.size(),
+                       tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
     }
     parallel_for(
         0, frontier.size(),
@@ -98,8 +100,7 @@ Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
               ++edges;
               write_max(level[v], lu + 1);
               if (indeg[v].fetch_sub(1, std::memory_order_acq_rel) - 1 == 0) {
-                if (processed < params.vgc.tau &&
-                    stack.size() < params.vgc.local_stack_cap) {
+                if (processed < tau && stack.size() < kVgcLocalStackCap) {
                   stack.push_back(v);
                 } else {
                   bag.insert(v);

@@ -21,28 +21,29 @@
 #include "graphs/graph.h"
 #include "pasgal/error.h"
 #include "pasgal/options.h"
-#include "pasgal/stats.h"
-#include "pasgal/vgc.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
 Status seq_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                    RunStats* stats = nullptr);
+                    Tracer* stats = nullptr);
 
-struct ToposortParams {
-  VgcParams vgc;
-};
-
-Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
-                       ToposortParams params = {}, RunStats* stats = nullptr);
-
-// --- Modern entry points (algorithms/run_api.cpp) ---------------------------
-// Unlike the legacy Status forms these throw the kValidation Error on cyclic
-// inputs, so RunReport can carry the levels directly.
+// --- Entry points (algorithms/run_api.cpp) ----------------------------------
+// Unlike the Status forms these throw the kValidation Error on cyclic
+// inputs, so RunReport can carry the levels directly. pasgal_toposort reads
+// vgc.tau (1 disables in-task peeling chains).
 RunReport<std::vector<std::uint32_t>> seq_toposort(const Graph& g,
                                                    const AlgoOptions& opt);
 RunReport<std::vector<std::uint32_t>> pasgal_toposort(const Graph& g,
                                                       const AlgoOptions& opt);
+
+// --- Kernel behind the entry point (no input guard) -------------------------
+namespace internal {
+
+Status pasgal_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
+                       const AlgoOptions& opt, Tracer* stats);
+
+}  // namespace internal
 
 // Convenience: vertices sorted by (level, id) — a concrete topological order.
 std::vector<VertexId> topological_order(std::span<const std::uint32_t> levels);

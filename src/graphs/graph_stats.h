@@ -54,8 +54,10 @@ inline std::uint64_t diameter_lower_bound(const Graph& g, const Graph& gt,
   std::uint64_t best = 0;
   Random rng(seed);
   VertexId source = 0;
+  AlgoOptions opt;
   for (int s = 0; s < samples; ++s) {
-    auto dist = pasgal_bfs(g, gt, source);
+    opt.source = source;
+    auto dist = pasgal_bfs(g, gt, opt).output;
     std::uint64_t ecc = 0;
     VertexId far = source;
     for (VertexId v = 0; v < n; ++v) {

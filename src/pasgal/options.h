@@ -1,16 +1,19 @@
 // Unified run context for the algorithm entry points.
 //
-// Every algorithm variant has a modern signature
+// Every algorithm variant that reads a tuning knob has one public signature
 //
 //   RunReport<T> variant(const Graph& g, [const Graph& gt,] const AlgoOptions&)
 //
-// declared next to its legacy form in the family header and implemented in
-// algorithms/run_api.cpp. `AlgoOptions` carries the union of all per-family
-// tuning knobs (each family reads only its own), the source vertex, the
-// validation flag, and an optional caller-owned Tracer; `RunReport` bundles
-// the output with the run's wall time and aggregated telemetry. The legacy
-// `(..., Params, RunStats*)` signatures remain as thin compatibility
-// wrappers around the same implementations.
+// declared in its family header and implemented in algorithms/run_api.cpp,
+// which validates the inputs (catalog::check_inputs) and times the run
+// (run_traced). The kernel behind it lives in `pasgal::internal` and reads
+// the same `const AlgoOptions&`: its knobs, `source` and `cancel`.
+// `AlgoOptions` carries the union of all per-family tuning knobs (each
+// family reads only its own), the source vertex, an optional caller-owned
+// Tracer, and an optional CancelToken; `RunReport` bundles the output with
+// the run's wall time and aggregated telemetry. Knob-free kernels (the
+// sequential oracles, gbbs_bfs, the BCC and CC variants) also keep a direct
+// `(g[, gt][, source], Tracer* = nullptr)` form.
 //
 // Batched multi-source queries use the same shape one level up:
 // `BatchOptions` (a source list plus the shared AlgoOptions) in,
@@ -27,25 +30,26 @@
 #include "graphs/graph.h"
 #include "pasgal/cancel.h"
 #include "pasgal/telemetry.h"
-#include "pasgal/vgc.h"
 
 namespace pasgal {
+
+// Vertical granularity control (pasgal/vgc.h).
+struct VgcParams {
+  // Minimum vertices a local search processes before spilling to the shared
+  // frontier. tau = 1 degenerates to the classic one-hop frontier algorithm.
+  std::uint32_t tau = 512;
+};
 
 struct AlgoOptions {
   // Source vertex for single-source algorithms (BFS, SSSP, PPSP start).
   VertexId source = 0;
 
   // VGC knobs (BFS, SSSP, SCC, k-core, toposort).
-  VgcParams vgc;
-  std::uint32_t vgc_engage_factor = 16;
+  VgcParams vgc{};
 
   // Direction optimization (BFS, SCC).
   EdgeId dense_threshold_den = 20;
   bool use_dense = true;
-
-  // GAPBS hysteresis controller (gapbs_bfs only).
-  int gapbs_alpha = 15;
-  int gapbs_beta = 18;
 
   // Stepping SSSP: rho-stepping by default, delta-stepping if
   // sssp_delta_mode is set.
@@ -53,8 +57,8 @@ struct AlgoOptions {
   std::uint64_t sssp_delta = 32;
   std::size_t sssp_rho = 8192;
 
-  // SCC pivot batching (scc_beta/scc_seed also drive the ldd cc variant).
-  double scc_beta = 2.0;
+  // SCC: the pivot order's seed (also seeds the ldd cc variant's delays) and
+  // the vertex count below which multistep hands over to sequential Tarjan.
   std::uint64_t scc_seed = 42;
   std::size_t multistep_cutoff = 1000;
 
@@ -63,25 +67,20 @@ struct AlgoOptions {
   double pagerank_epsilon = 1e-7;
   double pagerank_damping = 0.85;
 
-  // Cross-check the output against a reference computation (drivers only;
-  // the run_api entry points record it in no way — it rides here so one
-  // options struct reaches the whole driver pipeline).
-  bool validate = false;
-
   // When non-null the run records into this tracer (reset at run start) and
   // the caller can keep it for later inspection; when null a run-local
   // tracer is used and survives only as RunReport::telemetry.
   Tracer* tracer = nullptr;
 
   // Cooperative cancellation/deadline token (see pasgal/cancel.h). Checked
-  // by the parallel BFS variants and the stepping SSSP framework at every
-  // round/step boundary; an expired token unwinds the run with a typed
-  // kTimeout Error and leaves the worker pool healthy. Sequential baselines
-  // ignore it (they run no rounds to check between).
+  // by the pasgal/gbbs/ms BFS variants, the stepping SSSP framework, the
+  // edge_map Bellman-Ford, both PageRanks and pasgal TC at every round
+  // boundary; an expired token unwinds the run with a typed kTimeout Error
+  // and leaves the worker pool healthy. The other variants ignore it.
   const CancelToken* cancel = nullptr;
 };
 
-// Output of one algorithm run under the modern API.
+// Output of one algorithm run.
 template <typename T>
 struct RunReport {
   T output;

@@ -13,8 +13,9 @@
 // `RunTelemetry` happens once at run end. Round boundaries and phase marks
 // are recorded only by the round master (the thread driving the outer loop).
 //
-// `Tracer` subsumes the old `RunStats` (which survives as an alias in
-// stats.h so existing code compiles unchanged).
+// `Tracer` is the one recorder every kernel takes (`Tracer* stats`); its
+// counter interface (add_edges/add_visits/end_round/rounds()) is what the
+// kernels call on their hot paths.
 #pragma once
 
 #include <array>
@@ -148,7 +149,7 @@ class Tracer {
   void phase_begin(const char* name);
   void phase_end();
 
-  // --- legacy RunStats interface -------------------------------------------
+  // --- counter interface ----------------------------------------------------
   std::uint64_t edges_scanned() const;
   std::uint64_t vertices_visited() const;
   std::uint64_t rounds() const {
@@ -182,7 +183,7 @@ class Tracer {
   void sum_hot(std::uint64_t& edges, std::uint64_t& visits) const;
 
   std::vector<Slot> slots_;
-  std::vector<std::uint64_t> frontier_sizes_;  // legacy view of round_trace_
+  std::vector<std::uint64_t> frontier_sizes_;  // counter view of round_trace_
   std::vector<RoundTrace> round_trace_;
   RoundKind pending_kind_ = RoundKind::kSparse;
   double pending_delta_ = -1.0;

@@ -19,17 +19,15 @@
 
 #include "graphs/graph.h"
 #include "pasgal/hashbag.h"
-#include "pasgal/stats.h"
+#include "pasgal/options.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 
-struct VgcParams {
-  // Minimum vertices a local search processes before spilling to the shared
-  // frontier. tau = 1 degenerates to the classic one-hop frontier algorithm.
-  std::uint32_t tau = 512;
-  // Hard cap on the task-local stack (bounds per-task memory).
-  std::uint32_t local_stack_cap = 4096;
-};
+// The budget itself, VgcParams::tau, rides AlgoOptions (pasgal/options.h).
+// Hard cap on a task-local stack or queue (bounds per-task memory); shared by
+// the local searches below and the k-core and toposort peeling tasks.
+inline constexpr std::uint32_t kVgcLocalStackCap = 4096;
 
 // Generic reachability-flavoured local search.
 //
@@ -42,7 +40,7 @@ struct VgcParams {
 template <typename TryMark>
 std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
                            TryMark&& try_mark, HashBag<VertexId>& next,
-                           RunStats* stats = nullptr) {
+                           Tracer* stats = nullptr) {
   // Task-local stack; plain vector, no sharing.
   std::vector<VertexId> stack;
   stack.reserve(64);
@@ -56,7 +54,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
     for (VertexId v : g.neighbors(u)) {
       ++edges;
       if (try_mark(v)) {
-        if (expanded < p.tau && stack.size() < p.local_stack_cap) {
+        if (expanded < p.tau && stack.size() < kVgcLocalStackCap) {
           stack.push_back(v);
         } else {
           next.insert(v);
@@ -90,7 +88,7 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
 template <typename Relax, typename Spill>
 std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
                                 const VgcParams& p, Relax&& relax,
-                                Spill&& spill, RunStats* stats = nullptr) {
+                                Spill&& spill, Tracer* stats = nullptr) {
   struct Entry {
     VertexId v;
     std::uint32_t dist;
@@ -104,7 +102,7 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
     Entry e = queue[head++];
     ++expanded;
     relax(e.v, e.dist, [&](VertexId v, std::uint32_t d) {
-      if (expanded < p.tau && queue.size() < p.local_stack_cap) {
+      if (expanded < p.tau && queue.size() < kVgcLocalStackCap) {
         queue.push_back({v, d});
       } else {
         spill(v, d);

@@ -57,9 +57,9 @@ TEST_P(BfsVariants, AllVariantsMatchSequential) {
       auto expected = seq_bfs(c.g, source);
       EXPECT_EQ(gbbs_bfs(c.g, gt, source), expected)
           << "gbbs_bfs on " << c.name << " src=" << source;
-      EXPECT_EQ(gapbs_bfs(c.g, gt, source), expected)
+      EXPECT_EQ(gapbs_bfs(c.g, gt, {.source = source}).output, expected)
           << "gapbs_bfs on " << c.name << " src=" << source;
-      EXPECT_EQ(pasgal_bfs(c.g, gt, source), expected)
+      EXPECT_EQ(pasgal_bfs(c.g, gt, {.source = source}).output, expected)
           << "pasgal_bfs on " << c.name << " src=" << source;
     }
   }
@@ -70,9 +70,8 @@ TEST_P(BfsVariants, PasgalBfsTauSweep) {
   Graph gt = g.transpose();
   auto expected = seq_bfs(g, 0);
   for (std::uint32_t tau : {1u, 2u, 16u, 256u, 4096u}) {
-    PasgalBfsParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(pasgal_bfs(g, gt, 0, p), expected) << "tau=" << tau;
+    EXPECT_EQ(pasgal_bfs(g, gt, {.vgc = {tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
@@ -81,9 +80,8 @@ TEST_P(BfsVariants, PasgalBfsNoDenseMatches)
   Graph g = gen::rmat(11, 30000, 3);
   Graph gt = g.transpose();
   auto expected = seq_bfs(g, 1);
-  PasgalBfsParams p;
-  p.use_dense = false;
-  EXPECT_EQ(pasgal_bfs(g, gt, 1, p), expected);
+  EXPECT_EQ(pasgal_bfs(g, gt, {.source = 1, .use_dense = false}).output,
+            expected);
 }
 
 TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
@@ -91,11 +89,9 @@ TEST(BfsRounds, VgcReducesRoundsOnLargeDiameter) {
   // A long skinny grid: diameter ~ 500. GBBS needs one round per level;
   // PASGAL's VGC should advance many hops per round.
   Graph g = gen::rectangle_grid(4, 500);
-  RunStats gbbs_stats, pasgal_stats;
+  Tracer gbbs_stats, pasgal_stats;
   auto a = gbbs_bfs(g, g, 0, &gbbs_stats);
-  PasgalBfsParams p;
-  p.vgc.tau = 512;
-  auto b = pasgal_bfs(g, g, 0, p, &pasgal_stats);
+  auto b = pasgal_bfs(g, g, {.vgc = {512}, .tracer = &pasgal_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_GT(gbbs_stats.rounds(), 400u);
   EXPECT_LT(pasgal_stats.rounds(), gbbs_stats.rounds() / 5)
@@ -106,13 +102,13 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
   Scheduler::reset(1);
   Graph g = gen::rmat(13, 120000, 3);
   Graph gt = g.transpose();
-  RunStats stats;
+  Tracer stats;
   // Pick a high-degree source so the frontier explodes.
   VertexId best = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (g.out_degree(v) > g.out_degree(best)) best = v;
   }
-  auto d = pasgal_bfs(g, gt, best, {}, &stats);
+  auto d = pasgal_bfs(g, gt, {.source = best, .tracer = &stats}).output;
   EXPECT_EQ(d, seq_bfs(g, best));
   // Low-diameter graph: few rounds.
   EXPECT_LT(stats.rounds(), 40u);
@@ -121,8 +117,8 @@ TEST(BfsRounds, DirectionOptimizationKicksInOnSocialGraphs) {
 TEST(BfsStats, EdgesScannedAtLeastReachableEdges) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(10, 100);
-  RunStats stats;
-  pasgal_bfs(g, g, 0, {}, &stats);
+  Tracer stats;
+  pasgal_bfs(g, g, {.tracer = &stats});
   EXPECT_GE(stats.edges_scanned(), g.num_edges());  // every edge looked at
   EXPECT_GE(stats.vertices_visited(), g.num_vertices());
 }

@@ -2,11 +2,13 @@
 // a heap graph, a mmap'd .pgr and a v2-compressed .pgr and matches its
 // family's sequential oracle; the name sets the drivers and the daemon
 // expose; the in_core/overlay columns against what each run_api entry point
-// really throws; and validate_metrics' family whitelist.
+// really throws; validate_metrics' family whitelist; and every AlgoOptions
+// field reaching the kernel that reads it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -15,6 +17,7 @@
 #include "algorithms/bfs/bfs.h"
 #include "algorithms/catalog.h"
 #include "algorithms/kcore/kcore.h"
+#include "algorithms/pagerank/pagerank.h"
 #include "algorithms/scc/scc.h"
 #include "algorithms/sssp/sssp.h"
 #include "algorithms/tc/tc.h"
@@ -22,6 +25,7 @@
 #include "graphs/generators.h"
 #include "graphs/graph_io.h"
 #include "graphs/registry.h"
+#include "pasgal/cancel.h"
 #include "pasgal/error.h"
 #include "pasgal/telemetry.h"
 
@@ -156,7 +160,7 @@ void expect_matches_oracle(const Variant& v, const Output& out,
         << what;
   } else if (family == "pagerank") {
     // Same math, different summation order: agree to well below epsilon.
-    PagerankResult want = seq_pagerank(in.g, in.gt);
+    PagerankResult want = seq_pagerank(in.g, in.gt, {}).output;
     const PagerankResult& got = std::get<PagerankResult>(out);
     ASSERT_EQ(got.rank.size(), want.rank.size()) << what;
     EXPECT_EQ(got.iterations, want.iterations) << what;
@@ -402,6 +406,123 @@ TEST_F(CatalogTest, ValidateMetricsKnowsEveryFamily) {
   MetricsDoc tool("graph_gen", "generate", "chain:4", 4, 3);
   tool.add_trial(0.0, empty.aggregate());
   EXPECT_TRUE(validate(tool).ok()) << validate(tool).message();
+}
+
+// --- AlgoOptions fields reach their kernels ----------------------------------
+
+// What a run shows of the options it ran with: its output and the kind of
+// every round it recorded.
+template <typename T>
+struct Fingerprint {
+  T output;
+  std::vector<RoundKind> rounds;
+  bool operator==(const Fingerprint&) const = default;
+};
+
+template <typename T>
+Fingerprint<T> fingerprint(RunReport<T> r) {
+  Fingerprint<T> f{std::move(r.output), {}};
+  for (const RoundTrace& round : r.telemetry.rounds) {
+    f.rounds.push_back(round.kind);
+  }
+  return f;
+}
+
+TEST(AlgoOptionsFields, EveryFieldReachesItsKernel) {
+  Scheduler::reset(1);
+  Graph grid = gen::rectangle_grid(20, 40);
+  Graph social = gen::rmat(12, 60000, 7);
+  Graph social_t = social.transpose();
+  Graph digraph = gen::random_graph(2000, 5000, 3);
+  Graph digraph_t = digraph.transpose();
+  auto weighted = gen::add_weights(grid, 100, 5);
+  VertexId hub = 0;
+  for (VertexId v = 0; v < social.num_vertices(); ++v) {
+    if (social.out_degree(v) > social.out_degree(hub)) hub = v;
+  }
+
+  auto bfs = [&](const AlgoOptions& o) { return pasgal_bfs(grid, grid, o); };
+  // One-hop rounds from the hub: level-synchronous, so a wide level goes
+  // dense when the direction knobs allow it.
+  auto social_bfs = [&](AlgoOptions o) {
+    o.source = hub;
+    o.vgc.tau = 1;
+    return pasgal_bfs(social, social_t, o);
+  };
+  auto sssp = [&](const AlgoOptions& o) { return stepping_sssp(weighted, o); };
+  auto scc = [&](const AlgoOptions& o) {
+    return pasgal_scc(digraph, digraph_t, o);
+  };
+  auto multistep = [&](const AlgoOptions& o) {
+    return multistep_scc(digraph, digraph_t, o);
+  };
+  auto pagerank = [&](const AlgoOptions& o) {
+    return pasgal_pagerank(social, social_t, o);
+  };
+  // Two values of one field must change the output or the round structure.
+  auto expect_reaches = [](const char* field, auto run, const AlgoOptions& a,
+                           const AlgoOptions& b) {
+    EXPECT_NE(fingerprint(run(a)), fingerprint(run(b))) << field;
+  };
+
+  expect_reaches("source", bfs, {.source = 0}, {.source = 5});
+  expect_reaches("vgc.tau", bfs, {.vgc = {1}}, {.vgc = {512}});
+  expect_reaches("dense_threshold_den", social_bfs,
+                 {.dense_threshold_den = 1}, {.dense_threshold_den = 20});
+  expect_reaches("use_dense", social_bfs, {.use_dense = true},
+                 {.use_dense = false});
+  expect_reaches("sssp_delta_mode", sssp, {.sssp_delta_mode = false},
+                 {.sssp_delta_mode = true});
+  expect_reaches("sssp_delta", sssp, {.sssp_delta_mode = true, .sssp_delta = 1},
+                 {.sssp_delta_mode = true, .sssp_delta = 1000});
+  expect_reaches("sssp_rho", sssp, {.sssp_rho = 1}, {.sssp_rho = 8192});
+  expect_reaches("scc_seed", scc, {.scc_seed = 1}, {.scc_seed = 2});
+  expect_reaches("multistep_cutoff", multistep, {.multistep_cutoff = 0},
+                 {.multistep_cutoff = 1000000});
+  expect_reaches("pagerank_iterations", pagerank, {.pagerank_iterations = 1},
+                 {.pagerank_iterations = 100});
+  expect_reaches("pagerank_epsilon", pagerank, {.pagerank_epsilon = 1e-2},
+                 {.pagerank_epsilon = 1e-9});
+  expect_reaches("pagerank_damping", pagerank, {.pagerank_damping = 0.5},
+                 {.pagerank_damping = 0.85});
+
+  // tracer: the run records into the caller's tracer, or into none of the
+  // caller's.
+  Tracer mine;
+  auto untraced = bfs({});
+  EXPECT_EQ(mine.rounds(), 0u);
+  auto traced = bfs({.tracer = &mine});
+  EXPECT_EQ(traced.output, untraced.output);
+  EXPECT_GT(mine.rounds(), 0u);
+  EXPECT_EQ(mine.rounds(), traced.telemetry.rounds.size());
+}
+
+TEST(AlgoOptionsFields, ExpiredCancelTimesOutEveryVariantThatChecksIt) {
+  Scheduler::reset(1);
+  Graph g = gen::rectangle_grid(20, 40);
+  auto wg = gen::add_weights(g, 100, 5);
+  CancelToken expired;
+  expired.set_deadline_ms(0);
+  const AlgoOptions opt{.cancel = &expired};
+  const std::map<std::string, std::function<void()>> runs = {
+      {"pasgal_bfs", [&] { pasgal_bfs(g, g, opt); }},
+      {"gbbs_bfs", [&] { gbbs_bfs(g, g, opt); }},
+      {"ms_bfs", [&] { ms_bfs(g, g, {{0, 7}, opt}); }},
+      {"stepping_sssp", [&] { stepping_sssp(wg, opt); }},
+      {"batch_sssp", [&] { batch_sssp(wg, {{0, 7}, opt}); }},
+      {"em_bellman_ford", [&] { em_bellman_ford(wg, opt); }},
+      {"seq_pagerank", [&] { seq_pagerank(g, g, opt); }},
+      {"pasgal_pagerank", [&] { pasgal_pagerank(g, g, opt); }},
+      {"pasgal_tc", [&] { pasgal_tc(g, opt); }},
+  };
+  for (const auto& [name, run] : runs) {
+    try {
+      run();
+      ADD_FAILURE() << name << ": expired token did not cancel the run";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kTimeout) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ TEST_P(CcTest, DirectedEdgesTreatedAsUndirected) {
 TEST(CcRounds, LabelPropNeedsDiameterRounds) {
   Scheduler::reset(1);
   Graph g = gen::chain(2000);
-  RunStats uf_stats, lp_stats;
+  Tracer uf_stats, lp_stats;
   connected_components(g, &uf_stats);
   label_prop_cc(g, &lp_stats);
   EXPECT_LE(uf_stats.rounds(), 2u);

@@ -159,8 +159,8 @@ void run_equivalence_grid(Graph base, std::uint64_t seed) {
       ConnectivityResult cc_ref = connected_components(ref.symmetrize());
       EXPECT_EQ(cc_overlay.label, cc_ref.label)
           << "cc diverged: round " << round << ", " << workers << " workers";
-      PagerankResult pr_overlay = pasgal_pagerank(g, gt);
-      PagerankResult pr_ref = pasgal_pagerank(ref, ref_t);
+      PagerankResult pr_overlay = pasgal_pagerank(g, gt, {}).output;
+      PagerankResult pr_ref = pasgal_pagerank(ref, ref_t, {}).output;
       ASSERT_EQ(pr_overlay.rank.size(), pr_ref.rank.size());
       EXPECT_EQ(pr_overlay.iterations, pr_ref.iterations);
       for (std::size_t v = 0; v < pr_ref.rank.size(); ++v) {

@@ -663,7 +663,10 @@ TEST_F(GraphIoFuzzTest, BfsOnUnvalidatedOutOfRangeTargetsThrowsTyped) {
   EXPECT_FALSE(g.storage()->validated());
   Graph gt = g.transpose();  // embedded sections: no rebuild, no crash
   expect_rejected([&] { gbbs_bfs(g, gt, 0); }, ErrorCategory::kValidation);
-  expect_rejected([&] { gapbs_bfs(g, gt, 0); }, ErrorCategory::kValidation);
+  // The kernel itself, below the entry point's validating guard: its own
+  // ensure_validated() must reject the poisoned target.
+  expect_rejected([&] { internal::gapbs_bfs(g, gt, {}, nullptr); },
+                  ErrorCategory::kValidation);
 }
 
 TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
@@ -685,7 +688,9 @@ TEST_F(GraphIoFuzzTest, CcAndKcoreOnUnvalidatedOutOfRangeTargetsThrowTyped) {
   expect_rejected([&] { label_prop_cc(g); }, ErrorCategory::kValidation);
   expect_rejected([&] { ldd_cc(g); }, ErrorCategory::kValidation);
   expect_rejected([&] { seq_kcore(g); }, ErrorCategory::kValidation);
-  expect_rejected([&] { pasgal_kcore(g); }, ErrorCategory::kValidation);
+  // Below the entry point's validating guard, like gapbs_bfs above.
+  expect_rejected([&] { internal::pasgal_kcore(g, {}, nullptr); },
+                  ErrorCategory::kValidation);
 }
 
 TEST_F(GraphIoFuzzTest, EnsureValidatedAcceptsAndMemoizesCleanGraphs) {

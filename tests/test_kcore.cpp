@@ -44,7 +44,7 @@ std::vector<std::pair<std::string, Graph>> kcore_graphs() {
 
 TEST_P(KcoreTest, ParallelMatchesSequential) {
   for (const auto& [name, g] : kcore_graphs()) {
-    EXPECT_EQ(pasgal_kcore(g), seq_kcore(g)) << name;
+    EXPECT_EQ(pasgal_kcore(g, {}).output, seq_kcore(g)) << name;
   }
 }
 
@@ -52,9 +52,8 @@ TEST_P(KcoreTest, TauSweepMatches) {
   Graph g = gen::rmat(10, 12000, 9).symmetrize();
   auto expected = seq_kcore(g);
   for (std::uint32_t tau : {1u, 16u, 512u, 4096u}) {
-    KcoreParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(pasgal_kcore(g, p), expected) << "tau=" << tau;
+    EXPECT_EQ(pasgal_kcore(g, {.vgc = {tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
@@ -81,7 +80,7 @@ TEST_P(KcoreTest, CorenessDefiningProperty) {
   // {u : core(u) >= c} has min degree >= c (v's c-core exists), and v has
   // degree < c+1 within {u : core(u) >= c+1} union {v}.
   Graph g = gen::random_graph(800, 6000, 11).symmetrize();
-  auto core = pasgal_kcore(g);
+  auto core = pasgal_kcore(g, {}).output;
   std::uint32_t max_core = 0;
   for (auto c : core) max_core = std::max(max_core, c);
   for (std::uint32_t c = 1; c <= max_core; ++c) {
@@ -100,13 +99,9 @@ TEST(KcoreRounds, VgcCollapsesPeelingChains) {
   Scheduler::reset(1);
   // A long path peels end-inward: one wave per position without VGC.
   Graph g = gen::chain(20000);
-  KcoreParams no_vgc;
-  no_vgc.vgc.tau = 1;
-  RunStats chain_stats, vgc_stats;
-  auto a = pasgal_kcore(g, no_vgc, &chain_stats);
-  KcoreParams with_vgc;
-  with_vgc.vgc.tau = 512;
-  auto b = pasgal_kcore(g, with_vgc, &vgc_stats);
+  Tracer chain_stats, vgc_stats;
+  auto a = pasgal_kcore(g, {.vgc = {1}, .tracer = &chain_stats}).output;
+  auto b = pasgal_kcore(g, {.vgc = {512}, .tracer = &vgc_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_LT(vgc_stats.rounds() * 10, chain_stats.rounds())
       << "in-task peeling chains must collapse rounds";
@@ -115,8 +110,8 @@ TEST(KcoreRounds, VgcCollapsesPeelingChains) {
 TEST(KcoreStats, WorkIsLinear) {
   Scheduler::reset(1);
   Graph g = gen::rectangle_grid(40, 40);
-  RunStats stats;
-  pasgal_kcore(g, {}, &stats);
+  Tracer stats;
+  pasgal_kcore(g, {.tracer = &stats});
   // Every edge is scanned O(1) times during peeling.
   EXPECT_LE(stats.edges_scanned(), 3 * g.num_edges());
   EXPECT_GE(stats.edges_scanned(), g.num_edges());

@@ -56,6 +56,17 @@ std::vector<VertexId> pick_sources(std::size_t n, std::size_t k,
   return sources;
 }
 
+// One ms_bfs batch through the entry point: one distance array per source.
+std::vector<std::vector<std::uint32_t>> batch_dists(
+    const Graph& g, const Graph& gt, const std::vector<VertexId>& sources,
+    const AlgoOptions& algo = {}) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (auto& slice : ms_bfs(g, gt, {sources, algo}).per_source) {
+    out.push_back(std::move(slice.output));
+  }
+  return out;
+}
+
 class MsBfsTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override { Scheduler::reset(GetParam()); }
@@ -70,7 +81,7 @@ TEST_P(MsBfsTest, MatchesSequentialAcrossFamiliesAndBatchSizes) {
     for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                           std::size_t{64}}) {
       auto sources = pick_sources(c.g.num_vertices(), k, 17 + k);
-      auto dists = ms_bfs(c.g, gt, sources);
+      auto dists = batch_dists(c.g, gt, sources);
       ASSERT_EQ(dists.size(), sources.size()) << c.name << " k=" << k;
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(dists[i], seq_bfs(c.g, sources[i]))
@@ -85,7 +96,7 @@ TEST_P(MsBfsTest, RandomizedSourcesFullBatch) {
   Graph gt = g.transpose();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     auto sources = pick_sources(g.num_vertices(), 64, seed);
-    auto dists = ms_bfs(g, gt, sources);
+    auto dists = batch_dists(g, gt, sources);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "seed=" << seed
                                                   << " src=" << sources[i];
@@ -97,9 +108,7 @@ TEST_P(MsBfsTest, SparseOnlyMatches) {
   Graph g = gen::road_grid(15, 60, 0.75, 5);
   Graph gt = g.transpose();
   auto sources = pick_sources(g.num_vertices(), 8, 5);
-  MsBfsParams p;
-  p.use_dense = false;
-  auto dists = ms_bfs(g, gt, sources, p);
+  auto dists = batch_dists(g, gt, sources, {.use_dense = false});
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "src=" << sources[i];
   }
@@ -110,9 +119,7 @@ TEST_P(MsBfsTest, DenseBiasedMatches) {
   Graph g = gen::rmat(11, 30000, 31);
   Graph gt = g.transpose();
   auto sources = pick_sources(g.num_vertices(), 64, 9);
-  MsBfsParams p;
-  p.dense_threshold_den = 1000;
-  auto dists = ms_bfs(g, gt, sources, p);
+  auto dists = batch_dists(g, gt, sources, {.dense_threshold_den = 1000});
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(dists[i], seq_bfs(g, sources[i])) << "src=" << sources[i];
   }
@@ -122,13 +129,11 @@ TEST(MsBfsCancel, ExpiredDeadlineUnwindsMidBatch) {
   // A long chain guarantees many round boundaries; the already-expired
   // token must unwind the whole batch with a typed kTimeout.
   Graph g = gen::chain(20000, true);
-  MsBfsParams p;
   CancelToken token;
   token.set_deadline_ms(0);
-  p.cancel = &token;
   std::vector<VertexId> sources{0, 1, 2, 3};
   try {
-    ms_bfs(g, g.transpose(), sources, p);
+    batch_dists(g, g.transpose(), sources, {.cancel = &token});
     FAIL() << "expired deadline did not cancel the batch";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kTimeout);

@@ -55,18 +55,18 @@ TEST_P(RandomSweep, BfsAgreement) {
   Graph gt = g.transpose();
   VertexId src = static_cast<VertexId>(hash64(GetParam().seed + 10) % g.num_vertices());
   auto expected = seq_bfs(g, src);
-  EXPECT_EQ(pasgal_bfs(g, gt, src), expected);
+  EXPECT_EQ(pasgal_bfs(g, gt, {.source = src}).output, expected);
   EXPECT_EQ(gbbs_bfs(g, gt, src), expected);
-  EXPECT_EQ(gapbs_bfs(g, gt, src), expected);
+  EXPECT_EQ(gapbs_bfs(g, gt, {.source = src}).output, expected);
 }
 
 TEST_P(RandomSweep, SccAgreement) {
   Graph g = make_digraph();
   Graph gt = g.transpose();
   auto expected = normalize_scc_labels(tarjan_scc(g));
-  EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt)), expected);
-  EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt)), expected);
-  EXPECT_EQ(normalize_scc_labels(multistep_scc(g, gt)), expected);
+  EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, {}).output), expected);
+  EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt, {}).output), expected);
+  EXPECT_EQ(normalize_scc_labels(multistep_scc(g, gt, {}).output), expected);
 }
 
 TEST_P(RandomSweep, BccAgreement) {
@@ -81,14 +81,18 @@ TEST_P(RandomSweep, SsspAgreement) {
   auto g = gen::add_weights(make_digraph(), 100, GetParam().seed + 20);
   VertexId src = static_cast<VertexId>(hash64(GetParam().seed + 21) % g.num_vertices());
   auto expected = dijkstra(g, src);
-  EXPECT_EQ(rho_stepping(g, src), expected);
-  EXPECT_EQ(delta_stepping(g, src, 64), expected);
+  EXPECT_EQ(stepping_sssp(g, {.source = src}).output, expected);
+  EXPECT_EQ(stepping_sssp(g, {.source = src,
+                              .sssp_delta_mode = true,
+                              .sssp_delta = 64})
+                .output,
+            expected);
   EXPECT_EQ(bellman_ford(g, src), expected);
 }
 
 TEST_P(RandomSweep, KcoreAndCcAgreement) {
   Graph g = make_digraph().symmetrize();
-  EXPECT_EQ(pasgal_kcore(g), seq_kcore(g));
+  EXPECT_EQ(pasgal_kcore(g, {}).output, seq_kcore(g));
   EXPECT_EQ(label_prop_cc(g), connected_components(g).label);
 }
 

@@ -122,7 +122,7 @@ TEST_P(SccTest, PasgalMatchesTarjan) {
   for (const auto& [name, g] : scc_graphs()) {
     Graph gt = g.transpose();
     auto expected = kosaraju(g, gt);
-    auto got = pasgal_scc(g, gt);
+    auto got = pasgal_scc(g, gt, {}).output;
     EXPECT_EQ(normalize_scc_labels(got), expected) << name;
   }
 }
@@ -130,25 +130,25 @@ TEST_P(SccTest, PasgalMatchesTarjan) {
 TEST_P(SccTest, GbbsMatchesTarjan) {
   for (const auto& [name, g] : scc_graphs()) {
     Graph gt = g.transpose();
-    EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt)), kosaraju(g, gt)) << name;
+    EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt, {}).output), kosaraju(g, gt))
+        << name;
   }
 }
 
 TEST_P(SccTest, MultistepMatchesTarjan) {
   for (const auto& [name, g] : scc_graphs()) {
     Graph gt = g.transpose();
-    MultistepParams p;
-    p.sequential_cutoff = 50;  // exercise coloring even on small graphs
-    EXPECT_EQ(normalize_scc_labels(multistep_scc(g, gt, p)), kosaraju(g, gt))
-        << name;
+    // A cutoff of 50 exercises coloring even on small graphs.
+    auto got = multistep_scc(g, gt, {.multistep_cutoff = 50}).output;
+    EXPECT_EQ(normalize_scc_labels(got), kosaraju(g, gt)) << name;
   }
 }
 
 TEST_P(SccTest, PasgalSeedsAgree) {
   Graph g = gen::rmat(11, 16000, 7);
   Graph gt = g.transpose();
-  auto a = normalize_scc_labels(pasgal_scc(g, gt, {.seed = 1}));
-  auto b = normalize_scc_labels(pasgal_scc(g, gt, {.seed = 99}));
+  auto a = normalize_scc_labels(pasgal_scc(g, gt, {.scc_seed = 1}).output);
+  auto b = normalize_scc_labels(pasgal_scc(g, gt, {.scc_seed = 99}).output);
   EXPECT_EQ(a, b);
 }
 
@@ -157,9 +157,8 @@ TEST_P(SccTest, PasgalTauSweep) {
   Graph gt = g.transpose();
   auto expected = kosaraju(g, gt);
   for (std::uint32_t tau : {1u, 4u, 64u, 2048u}) {
-    SccParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, p)), expected)
+    EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, {.vgc = {tau}}).output),
+              expected)
         << "tau=" << tau;
   }
 }
@@ -167,18 +166,17 @@ TEST_P(SccTest, PasgalTauSweep) {
 TEST_P(SccTest, NoDenseStillCorrect) {
   Graph g = gen::rmat(10, 8000, 21);
   Graph gt = g.transpose();
-  SccParams p;
-  p.use_dense = false;
-  EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, p)), kosaraju(g, gt));
+  auto labels = pasgal_scc(g, gt, {.use_dense = false}).output;
+  EXPECT_EQ(normalize_scc_labels(labels), kosaraju(g, gt));
 }
 
 TEST(SccRounds, VgcReducesRoundsOnRoadGraphs) {
   Scheduler::reset(1);
   Graph g = gen::road_grid(8, 400, 0.9, 3);  // long strip, mostly two-way
   Graph gt = g.transpose();
-  RunStats pasgal_stats, gbbs_stats;
-  auto a = pasgal_scc(g, gt, {}, &pasgal_stats);
-  auto b = gbbs_scc(g, gt, {}, &gbbs_stats);
+  Tracer pasgal_stats, gbbs_stats;
+  auto a = pasgal_scc(g, gt, {.tracer = &pasgal_stats}).output;
+  auto b = gbbs_scc(g, gt, {.tracer = &gbbs_stats}).output;
   EXPECT_EQ(normalize_scc_labels(a), normalize_scc_labels(b));
   EXPECT_LT(pasgal_stats.rounds() * 3, gbbs_stats.rounds())
       << "VGC must collapse reachability rounds on large-diameter graphs";
@@ -188,7 +186,7 @@ TEST(SccStructure, GiantSccDetected) {
   Scheduler::reset(1);
   Graph g = gen::cycle(1000);
   Graph gt = g.transpose();
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   for (VertexId v = 0; v < 1000; ++v) EXPECT_EQ(labels[v], 0u);
 }
 
@@ -196,7 +194,7 @@ TEST(SccStructure, DagAllSingletons) {
   Scheduler::reset(1);
   Graph g = gen::chain(500, /*directed=*/true);
   Graph gt = g.transpose();
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   for (VertexId v = 0; v < 500; ++v) EXPECT_EQ(labels[v], v);
 }
 

@@ -31,6 +31,17 @@ std::vector<std::pair<std::string, WGraph>> sssp_graphs() {
   return cases;
 }
 
+// Stepping SSSP from `src` through the entry point: rho-stepping with the
+// default knobs, or delta-stepping with bucket width `delta`.
+std::vector<Dist> rho_sssp(const WGraph& g, VertexId src) {
+  return stepping_sssp(g, {.source = src}).output;
+}
+std::vector<Dist> delta_sssp(const WGraph& g, VertexId src, Dist delta) {
+  return stepping_sssp(
+             g, {.source = src, .sssp_delta_mode = true, .sssp_delta = delta})
+      .output;
+}
+
 class SsspTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override { Scheduler::reset(GetParam()); }
@@ -50,7 +61,7 @@ TEST_P(SsspTest, BellmanFordMatchesDijkstra) {
 TEST_P(SsspTest, RhoSteppingMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
     for (VertexId src : {VertexId{0}, static_cast<VertexId>(g.num_vertices() - 1)}) {
-      EXPECT_EQ(rho_stepping(g, src), dijkstra(g, src)) << name << " src=" << src;
+      EXPECT_EQ(rho_sssp(g, src), dijkstra(g, src)) << name << " src=" << src;
     }
   }
 }
@@ -59,7 +70,7 @@ TEST_P(SsspTest, DeltaSteppingMatchesDijkstra) {
   for (const auto& [name, g] : sssp_graphs()) {
     auto expected = dijkstra(g, 0);
     for (Dist delta : {Dist{1}, Dist{16}, Dist{256}}) {
-      EXPECT_EQ(delta_stepping(g, 0, delta), expected)
+      EXPECT_EQ(delta_sssp(g, 0, delta), expected)
           << name << " delta=" << delta;
     }
   }
@@ -68,18 +79,15 @@ TEST_P(SsspTest, DeltaSteppingMatchesDijkstra) {
 TEST_P(SsspTest, SteppingWithoutVgcMatches) {
   auto g = gen::add_weights(gen::road_grid(12, 40, 0.7, 13), 100, 13);
   auto expected = dijkstra(g, 0);
-  SteppingParams p;
-  p.vgc.tau = 1;  // VGC off
-  EXPECT_EQ(stepping_sssp(g, 0, p), expected);
+  EXPECT_EQ(stepping_sssp(g, {.vgc = {1}}).output, expected);  // VGC off
 }
 
 TEST_P(SsspTest, SteppingTauSweep) {
   auto g = gen::add_weights(gen::rectangle_grid(10, 60), 50, 14);
   auto expected = dijkstra(g, 5);
   for (std::uint32_t tau : {1u, 8u, 128u, 4096u}) {
-    SteppingParams p;
-    p.vgc.tau = tau;
-    EXPECT_EQ(stepping_sssp(g, 5, p), expected) << "tau=" << tau;
+    EXPECT_EQ(stepping_sssp(g, {.source = 5, .vgc = {tau}}).output, expected)
+        << "tau=" << tau;
   }
 }
 
@@ -87,9 +95,8 @@ TEST_P(SsspTest, RhoSweep) {
   auto g = gen::add_weights(gen::random_graph(1500, 9000, 15), 100, 15);
   auto expected = dijkstra(g, 1);
   for (std::size_t rho : {std::size_t{1}, std::size_t{64}, std::size_t{100000}}) {
-    SteppingParams p;
-    p.rho = rho;
-    EXPECT_EQ(stepping_sssp(g, 1, p), expected) << "rho=" << rho;
+    EXPECT_EQ(stepping_sssp(g, {.source = 1, .sssp_rho = rho}).output, expected)
+        << "rho=" << rho;
   }
 }
 
@@ -102,14 +109,14 @@ TEST_P(SsspTest, DeltaNearSaturationTerminates) {
   auto expected = dijkstra(g, 0);
   for (Dist delta : {kInfWeightDist, std::numeric_limits<Dist>::max(),
                      std::numeric_limits<Dist>::max() - 1}) {
-    EXPECT_EQ(delta_stepping(g, 0, delta), expected) << "delta=" << delta;
+    EXPECT_EQ(delta_sssp(g, 0, delta), expected) << "delta=" << delta;
   }
 }
 
 TEST_P(SsspTest, UnreachableVerticesAreInf) {
   auto g = gen::add_weights(
       Graph::from_edges(4, std::vector<Edge>{{0, 1}, {2, 3}}), 10, 16);
-  auto d = rho_stepping(g, 0);
+  auto d = rho_sssp(g, 0);
   EXPECT_EQ(d[0], 0u);
   EXPECT_LT(d[1], kInfWeightDist);
   EXPECT_EQ(d[2], kInfWeightDist);
@@ -122,8 +129,8 @@ TEST_P(SsspTest, WeightedShorterThanFewerHops) {
   std::vector<WeightedEdge<std::uint32_t>> edges = {
       {0, 1, 1}, {1, 2, 1}, {0, 2, 5}};
   auto g = WGraph::from_edges(3, edges);
-  for (auto d : {dijkstra(g, 0), rho_stepping(g, 0), bellman_ford(g, 0),
-                 delta_stepping(g, 0, 4)}) {
+  for (auto d : {dijkstra(g, 0), rho_sssp(g, 0), bellman_ford(g, 0),
+                 delta_sssp(g, 0, 4)}) {
     EXPECT_EQ(d[2], 2u);
   }
 }
@@ -131,9 +138,9 @@ TEST_P(SsspTest, WeightedShorterThanFewerHops) {
 TEST(SsspRounds, SteppingBeatsBellmanFordRoundsOnChain) {
   Scheduler::reset(1);
   auto g = gen::add_weights(gen::chain(3000), 10, 17);
-  RunStats bf_stats, step_stats;
+  Tracer bf_stats, step_stats;
   auto a = bellman_ford(g, 0, &bf_stats);
-  auto b = rho_stepping(g, 0, &step_stats);
+  auto b = stepping_sssp(g, {.tracer = &step_stats}).output;
   EXPECT_EQ(a, b);
   EXPECT_GT(bf_stats.rounds(), 2000u);
   EXPECT_LT(step_stats.rounds(), bf_stats.rounds() / 5);

@@ -1,15 +1,15 @@
-// Tests for the RunStats instrumentation interface.
+// Tests for the Tracer counter interface (edges, visits, rounds, frontiers).
 #include <gtest/gtest.h>
 
 #include "parlay/parallel.h"
-#include "pasgal/stats.h"
+#include "pasgal/telemetry.h"
 
 namespace pasgal {
 namespace {
 
-TEST(RunStats, CountersAccumulate) {
+TEST(TracerCounters, CountersAccumulate) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.add_edges(10);
   stats.add_edges(5);
   stats.add_visits(3);
@@ -18,9 +18,9 @@ TEST(RunStats, CountersAccumulate) {
   EXPECT_EQ(stats.rounds(), 0u);
 }
 
-TEST(RunStats, RoundsAndFrontiers) {
+TEST(TracerCounters, RoundsAndFrontiers) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.end_round(10);
   stats.end_round(100);
   stats.end_round(7);
@@ -29,9 +29,9 @@ TEST(RunStats, RoundsAndFrontiers) {
   EXPECT_EQ(stats.frontier_sizes(), (std::vector<std::uint64_t>{10, 100, 7}));
 }
 
-TEST(RunStats, ResetClears) {
+TEST(TracerCounters, ResetClears) {
   Scheduler::reset(1);
-  RunStats stats;
+  Tracer stats;
   stats.add_edges(5);
   stats.end_round(1);
   stats.reset();
@@ -39,9 +39,9 @@ TEST(RunStats, ResetClears) {
   EXPECT_EQ(stats.rounds(), 0u);
 }
 
-TEST(RunStats, ParallelCountingIsExact) {
+TEST(TracerCounters, ParallelCountingIsExact) {
   Scheduler::reset(4);
-  RunStats stats;
+  Tracer stats;
   parallel_for(0, 100000, [&](std::size_t) {
     stats.add_edges(1);
     stats.add_visits(2);

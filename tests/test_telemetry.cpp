@@ -52,7 +52,7 @@ TEST_F(Telemetry, PendingKindConsumedByEndRound) {
   EXPECT_EQ(agg.rounds[1].kind, RoundKind::kSparse);
 }
 
-TEST_F(Telemetry, LegacyInterfaceStillWorks) {
+TEST_F(Telemetry, CounterInterfaceWorks) {
   Tracer t;
   t.add_edges(4);
   t.add_visits(2);
@@ -146,15 +146,15 @@ TEST(TelemetrySingleThread, SchedulerCountersZeroWhenSequential) {
 
 // --- end-to-end: traced BFS -------------------------------------------------
 
-TEST_F(Telemetry, TracedBfsMatchesLegacyAndRecordsStructure) {
+TEST_F(Telemetry, TracedBfsMatchesUntracedAndRecordsStructure) {
   Graph g = gen::rmat(11, 20000, 5);
   Graph gt = g.transpose();
-  auto legacy = pasgal_bfs(g, gt, 0);
-
   AlgoOptions opt;
   opt.source = 0;
+  auto untraced = internal::pasgal_bfs(g, gt, opt, nullptr);
+
   RunReport<std::vector<std::uint32_t>> report = pasgal_bfs(g, gt, opt);
-  EXPECT_EQ(report.output, legacy);
+  EXPECT_EQ(report.output, untraced);
   EXPECT_GT(report.seconds, 0.0);
 
   const RunTelemetry& tel = report.telemetry;

@@ -29,13 +29,27 @@ Graph random_dag(std::size_t n, std::size_t m, std::uint64_t seed) {
   return Graph::from_edges(n, edges, /*dedup=*/true);
 }
 
+// pasgal_toposort through its entry point, in the Status shape of
+// seq_toposort: the levels on success; on a cycle, empty levels and the typed
+// error the entry point threw.
+Status par_toposort(const Graph& g, std::vector<std::uint32_t>& levels,
+                    const AlgoOptions& opt = {}) {
+  levels.clear();
+  try {
+    levels = pasgal_toposort(g, opt).output;
+    return Status::Ok();
+  } catch (const Error& e) {
+    return Status::Failure(e.category(), e.what());
+  }
+}
+
 TEST_P(ToposortTest, ParallelMatchesSequentialOnDags) {
   for (std::uint64_t seed : {1, 2, 3}) {
     Graph g = random_dag(1000, 5000, seed);
     std::vector<std::uint32_t> expected, levels;
     ASSERT_TRUE(seq_toposort(g, expected).ok());
     ASSERT_FALSE(expected.empty());
-    ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+    ASSERT_TRUE(par_toposort(g, levels).ok());
     EXPECT_EQ(levels, expected) << "seed=" << seed;
   }
 }
@@ -43,7 +57,7 @@ TEST_P(ToposortTest, ParallelMatchesSequentialOnDags) {
 TEST_P(ToposortTest, LevelsRespectEdges) {
   Graph g = random_dag(2000, 12000, 7);
   std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  ASSERT_TRUE(par_toposort(g, levels).ok());
   ASSERT_FALSE(levels.empty());
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     for (VertexId v : g.neighbors(u)) {
@@ -57,7 +71,7 @@ TEST_P(ToposortTest, LevelsAreLongestPaths) {
   std::vector<Edge> e = {{0, 1}, {1, 2}, {2, 3}, {3, 9}, {0, 9}};
   Graph g = Graph::from_edges(10, e);
   std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  ASSERT_TRUE(par_toposort(g, levels).ok());
   ASSERT_FALSE(levels.empty());
   EXPECT_EQ(levels[9], 4u);  // the long path dominates
   EXPECT_EQ(levels[0], 0u);
@@ -70,7 +84,7 @@ TEST_P(ToposortTest, CycleDetected) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.category(), ErrorCategory::kValidation);
   EXPECT_TRUE(levels.empty());
-  s = pasgal_toposort(g, levels);
+  s = par_toposort(g, levels);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.category(), ErrorCategory::kValidation);
   EXPECT_NE(s.message().find("cycle"), std::string::npos);
@@ -79,13 +93,13 @@ TEST_P(ToposortTest, CycleDetected) {
   std::vector<Edge> e = {{0, 1}, {1, 2}, {2, 0}, {3, 4}};
   Graph h = Graph::from_edges(5, e);
   EXPECT_FALSE(seq_toposort(h, levels).ok());
-  EXPECT_FALSE(pasgal_toposort(h, levels).ok());
+  EXPECT_FALSE(par_toposort(h, levels).ok());
 }
 
 TEST_P(ToposortTest, TopologicalOrderIsValid) {
   Graph g = random_dag(500, 2500, 11);
   std::vector<std::uint32_t> levels;
-  ASSERT_TRUE(pasgal_toposort(g, levels).ok());
+  ASSERT_TRUE(par_toposort(g, levels).ok());
   auto order = topological_order(levels);
   std::vector<std::size_t> position(g.num_vertices());
   for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
@@ -101,10 +115,8 @@ TEST_P(ToposortTest, TauSweep) {
   std::vector<std::uint32_t> expected;
   ASSERT_TRUE(seq_toposort(g, expected).ok());
   for (std::uint32_t tau : {1u, 32u, 1024u}) {
-    ToposortParams p;
-    p.vgc.tau = tau;
     std::vector<std::uint32_t> levels;
-    ASSERT_TRUE(pasgal_toposort(g, levels, p).ok()) << "tau=" << tau;
+    ASSERT_TRUE(par_toposort(g, levels, {.vgc = {tau}}).ok()) << "tau=" << tau;
     EXPECT_EQ(levels, expected) << "tau=" << tau;
   }
 }
@@ -112,12 +124,11 @@ TEST_P(ToposortTest, TauSweep) {
 TEST(ToposortRounds, VgcCollapsesDeepChains) {
   Scheduler::reset(1);
   Graph g = gen::chain(20000, /*directed=*/true);
-  RunStats no_vgc_stats, vgc_stats;
-  ToposortParams no_vgc;
-  no_vgc.vgc.tau = 1;
+  Tracer no_vgc_stats, vgc_stats;
   std::vector<std::uint32_t> a, b;
-  ASSERT_TRUE(pasgal_toposort(g, a, no_vgc, &no_vgc_stats).ok());
-  ASSERT_TRUE(pasgal_toposort(g, b, {}, &vgc_stats).ok());
+  ASSERT_TRUE(
+      par_toposort(g, a, {.vgc = {1}, .tracer = &no_vgc_stats}).ok());
+  ASSERT_TRUE(par_toposort(g, b, {.tracer = &vgc_stats}).ok());
   EXPECT_EQ(a, b);
   EXPECT_LT(vgc_stats.rounds() * 10, no_vgc_stats.rounds());
 }
@@ -126,11 +137,11 @@ TEST_P(ToposortTest, CondensationIsAcyclicAndFaithful) {
   for (std::uint64_t seed : {5, 6}) {
     Graph g = gen::random_graph(800, 3000, seed);
     Graph gt = g.transpose();
-    auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+    auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
     Condensation cond = scc_condensation(g, labels);
     // The condensation is a DAG.
     std::vector<std::uint32_t> levels;
-    EXPECT_TRUE(pasgal_toposort(cond.dag, levels).ok()) << "seed=" << seed;
+    EXPECT_TRUE(par_toposort(cond.dag, levels).ok()) << "seed=" << seed;
     EXPECT_FALSE(levels.empty()) << "seed=" << seed;
     // component_of respects labels.
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -161,7 +172,7 @@ TEST_P(ToposortTest, CondensationIsAcyclicAndFaithful) {
 TEST_P(ToposortTest, CondensationOfDagIsIsomorphic) {
   Graph g = random_dag(300, 900, 13);
   Graph gt = g.transpose();
-  auto labels = normalize_scc_labels(pasgal_scc(g, gt));
+  auto labels = normalize_scc_labels(pasgal_scc(g, gt, {}).output);
   Condensation cond = scc_condensation(g, labels);
   EXPECT_EQ(cond.dag.num_vertices(), g.num_vertices());
 }

@@ -1,7 +1,7 @@
 // Single-source shortest paths (§2.2 "Parallel SSSP").
 //
 // PASGAL's SSSP is the *stepping algorithm framework* (Dong, Gu, Sun,
-// PPoPP'21) instantiated with hash-bag frontiers and VGC:
+// SPAA'21) instantiated with hash-bag frontiers and VGC:
 //   * delta-stepping  — process all entries within `delta` of the current
 //     base distance per step;
 //   * rho-stepping    — process the `rho` closest entries per step.

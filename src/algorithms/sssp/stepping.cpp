@@ -38,11 +38,14 @@ int bucket_for(std::uint32_t gap) {
 
 namespace internal {
 
-// The stepping algorithm framework (Dong, Gu, Sun — PPoPP'21) with hash-bag
+// The stepping algorithm framework (Dong, Gu, Sun — SPAA'21) with hash-bag
 // frontiers and VGC local relaxations. Each step settles the entries below a
 // strategy-chosen threshold:
-//   delta-stepping: threshold = base + delta,
-//   rho-stepping:   threshold = distance of the rho-th closest entry.
+//   delta-stepping: threshold = base + delta, over the lowest bucket;
+//   rho-stepping:   threshold = distance of the rho-th closest entry, over
+//                   the lowest buckets that together hold >= rho entries.
+// The local searches pop the closest tentative distance first (a task-local
+// Dijkstra, see local_search_dist), so a task settles a distance ball.
 std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
                                 const AlgoOptions& opt, Tracer* stats) {
   const VertexId source = opt.source;
@@ -72,21 +75,27 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
 
   for (;;) {
     if (cancel != nullptr) cancel->check("stepping_sssp step");
-    int lowest = -1;
+    // Gather the step's candidates, lowest bucket first. Delta-stepping
+    // takes one bucket. Rho-stepping keeps taking buckets until it holds rho
+    // live entries, so a step settles rho of them: on large-diameter graphs
+    // the lowest bucket alone is usually far smaller than rho, which would
+    // shrink every step to a sliver.
+    std::vector<std::uint64_t> valid;
+    bool extracted = false;
     for (int b = 0; b < kNumBuckets; ++b) {
-      if (!bags[b]->empty()) {
-        lowest = b;
-        break;
-      }
+      if (bags[b]->empty()) continue;
+      extracted = true;
+      auto entries = bags[b]->extract_all();
+      auto live = filter(std::span<const std::uint64_t>(entries),
+                         [&](std::uint64_t e) {
+                           return dist[entry_vertex(e)].load(
+                                      std::memory_order_relaxed) ==
+                                  entry_dist(e);
+                         });
+      valid.insert(valid.end(), live.begin(), live.end());
+      if (delta_mode || valid.size() >= rho) break;
     }
-    if (lowest < 0) break;
-
-    auto entries = bags[lowest]->extract_all();
-    auto valid = filter(std::span<const std::uint64_t>(entries),
-                        [&](std::uint64_t e) {
-                          return dist[entry_vertex(e)].load(
-                                     std::memory_order_relaxed) == entry_dist(e);
-                        });
+    if (!extracted) break;
     if (valid.empty()) continue;
 
     std::uint32_t base = reduce_indexed<std::uint32_t>(
@@ -139,7 +148,7 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
           VertexId root = entry_vertex(ready[i]);
           std::uint32_t root_dist = entry_dist(ready[i]);
           std::uint64_t edges = 0;
-          local_search_dist(
+          local_search_dist<LocalOrder::kMinDist>(
               root, root_dist, vgc,
               [&](VertexId u, std::uint32_t du, auto&& emit) {
                 if (dist[u].load(std::memory_order_relaxed) != du) return;

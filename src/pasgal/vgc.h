@@ -14,6 +14,7 @@
 // BFS/SSSP.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -79,13 +80,27 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
 //
 // Vertices improved beyond the budget go to `spill(v, d_v)`.
 //
-// Unlike the reachability search, this one expands FIFO: the task explores a
-// *ball* around the root rather than a DFS tendril, so the tentative
-// distances it assigns are (near-)exact within the ball and the spilled
-// frontier sits a bounded number of hops ahead. With a LIFO stack the task
-// would label a depth-tau path with path-length distances, all of which
-// later rounds must correct.
-template <typename Relax, typename Spill>
+// The task explores a *ball* around the root rather than a DFS tendril, so
+// the tentative distances it assigns are (near-)exact within the ball and the
+// spilled frontier sits just outside it. With a LIFO stack the task would
+// label a depth-tau path with path-length distances, all of which later
+// rounds must correct. Which ball depends on the weights:
+//   LocalOrder::kFifo    expands in hop order. With unit weights (BFS) hop
+//                        order *is* distance order, so a plain queue is
+//                        exact and cheapest.
+//   LocalOrder::kMinDist pops the minimum tentative distance from a small
+//                        binary heap: a task-local Dijkstra. With weights a
+//                        FIFO ball is a hop ball, whose labels are
+//                        path-length distances along few-hop, heavy paths;
+//                        popping the closest entry first makes the ball a
+//                        distance ball, so far fewer labels need correcting.
+// Both orders share the budget rules: entries are kept while fewer than tau
+// have been expanded and the container holds fewer than kVgcLocalStackCap,
+// and stale pops still count as expansions.
+enum class LocalOrder { kFifo, kMinDist };
+
+template <LocalOrder kOrder = LocalOrder::kFifo, typename Relax,
+          typename Spill>
 std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
                                 const VgcParams& p, Relax&& relax,
                                 Spill&& spill, Tracer* stats = nullptr) {
@@ -93,17 +108,32 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
     VertexId v;
     std::uint32_t dist;
   };
+  // Heap order: the entry with the larger distance sinks.
+  auto farther = [](const Entry& a, const Entry& b) { return a.dist > b.dist; };
   std::vector<Entry> queue;
   queue.reserve(64);
   queue.push_back({root, root_dist});
-  std::size_t head = 0;
+  std::size_t head = 0;  // kFifo: entries before head were popped
+  auto pop = [&]() -> Entry {
+    if constexpr (kOrder == LocalOrder::kFifo) {
+      return queue[head++];
+    } else {
+      std::pop_heap(queue.begin(), queue.end(), farther);
+      Entry e = queue.back();
+      queue.pop_back();
+      return e;
+    }
+  };
   std::uint64_t expanded = 0;
   while (head < queue.size()) {
-    Entry e = queue[head++];
+    Entry e = pop();
     ++expanded;
     relax(e.v, e.dist, [&](VertexId v, std::uint32_t d) {
       if (expanded < p.tau && queue.size() < kVgcLocalStackCap) {
         queue.push_back({v, d});
+        if constexpr (kOrder == LocalOrder::kMinDist) {
+          std::push_heap(queue.begin(), queue.end(), farther);
+        }
       } else {
         spill(v, d);
       }

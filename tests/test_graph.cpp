@@ -114,8 +114,12 @@ TEST(WeightedGraphTest, FromEdgesKeepsWeights) {
   auto nbrs = g.neighbors(0);
   auto wts = g.neighbor_weights(0);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (nbrs[i] == 1) EXPECT_EQ(wts[i], 10u);
-    if (nbrs[i] == 2) EXPECT_EQ(wts[i], 20u);
+    if (nbrs[i] == 1) {
+      EXPECT_EQ(wts[i], 10u);
+    }
+    if (nbrs[i] == 2) {
+      EXPECT_EQ(wts[i], 20u);
+    }
   }
 }
 
@@ -127,8 +131,12 @@ TEST(WeightedGraphTest, TransposeKeepsWeights) {
   auto nbrs = t.neighbors(1);
   auto wts = t.neighbor_weights(1);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (nbrs[i] == 0) EXPECT_EQ(wts[i], 7u);
-    if (nbrs[i] == 2) EXPECT_EQ(wts[i], 9u);
+    if (nbrs[i] == 0) {
+      EXPECT_EQ(wts[i], 7u);
+    }
+    if (nbrs[i] == 2) {
+      EXPECT_EQ(wts[i], 9u);
+    }
   }
 }
 

@@ -100,6 +100,45 @@ TEST_P(SsspTest, RhoSweep) {
   }
 }
 
+// Everything that shares the stepping kernel must agree with Dijkstra on a
+// large-diameter weighted graph, where a step gathers several buckets and the
+// local searches run distance-ordered.
+WGraph weighted_road_grid() {
+  return gen::add_weights(gen::road_grid(200, 200, 0.85));
+}
+
+TEST_P(SsspTest, RoadGridStrategiesMatchDijkstra) {
+  auto g = weighted_road_grid();
+  VertexId n = static_cast<VertexId>(g.num_vertices());
+  for (VertexId src : {VertexId{0}, static_cast<VertexId>(n / 2)}) {
+    auto expected = dijkstra(g, src);
+    for (Dist delta : {Dist{32}, Dist{256}}) {
+      EXPECT_EQ(delta_sssp(g, src, delta), expected)
+          << "src=" << src << " delta=" << delta;
+    }
+    for (std::size_t rho : {std::size_t{1}, std::size_t{n}}) {
+      EXPECT_EQ(stepping_sssp(g, {.source = src, .sssp_rho = rho}).output,
+                expected)
+          << "src=" << src << " rho=" << rho;
+    }
+  }
+}
+
+TEST_P(SsspTest, RoadGridBatchMatchesDijkstra) {
+  auto g = weighted_road_grid();
+  BatchOptions opt;
+  for (VertexId i = 0; i < 8; ++i) {
+    opt.sources.push_back(
+        static_cast<VertexId>(i * (g.num_vertices() / 8) + 17 * i));
+  }
+  auto report = batch_sssp(g, opt);
+  ASSERT_EQ(report.per_source.size(), opt.sources.size());
+  for (std::size_t i = 0; i < opt.sources.size(); ++i) {
+    EXPECT_EQ(report.per_source[i].output, dijkstra(g, opt.sources[i]))
+        << "src=" << opt.sources[i];
+  }
+}
+
 TEST_P(SsspTest, DeltaNearSaturationTerminates) {
   // Regression: delta is a 64-bit Dist, so base + delta used to wrap and
   // produce a threshold *below* base — no entry ever settled and the step
@@ -144,6 +183,26 @@ TEST(SsspRounds, SteppingBeatsBellmanFordRoundsOnChain) {
   EXPECT_EQ(a, b);
   EXPECT_GT(bf_stats.rounds(), 2000u);
   EXPECT_LT(step_stats.rounds(), bf_stats.rounds() / 5);
+}
+
+TEST(SsspRounds, RhoSteppingIsWorkEfficientOnRoadGrid) {
+  // A rho step must gather the rho closest entries across buckets, and the
+  // local searches must settle distance balls: on a road grid either
+  // shortcut alone costs tens of rounds and ~8-10 m edge scans.
+  auto g = weighted_road_grid();
+  VertexId n = static_cast<VertexId>(g.num_vertices());
+  for (int workers : {1, 4}) {
+    Scheduler::reset(workers);
+    for (VertexId src : {VertexId{0}, static_cast<VertexId>(n / 2)}) {
+      Tracer stats;
+      auto d = stepping_sssp(g, {.source = src, .tracer = &stats}).output;
+      EXPECT_EQ(d, dijkstra(g, src)) << "P=" << workers << " src=" << src;
+      EXPECT_LE(stats.rounds(), 20u) << "P=" << workers << " src=" << src;
+      EXPECT_LE(stats.edges_scanned(), 6 * g.num_edges())
+          << "P=" << workers << " src=" << src;
+    }
+  }
+  Scheduler::reset(1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "algorithms/bfs/bfs.h"  // kInfDist
+#include "algorithms/sssp/sssp.h"
 #include "graphs/generators.h"
 #include "pasgal/vgc.h"
 
@@ -119,6 +120,35 @@ TEST_P(VgcTest, DistSearchExploresBall) {
   // Spills are just outside the expanded ball: their distance is within
   // 1 hop of the maximum expanded distance.
   EXPECT_FALSE(spilled.empty());
+}
+
+TEST_P(VgcTest, MinDistSearchExploresWeightedBall) {
+  // Distance order: with weights, one task pops vertices in Dijkstra order,
+  // so every label it expands before its first spill is the exact distance.
+  auto g = gen::add_weights(gen::rectangle_grid(41, 41), 100, 3);
+  VertexId center = 20 * 41 + 20;
+  auto expected = dijkstra(g, center);
+  std::vector<std::atomic<std::uint32_t>> dist(g.num_vertices());
+  for (auto& d : dist) d.store(kInfDist, std::memory_order_relaxed);
+  dist[center].store(0, std::memory_order_relaxed);
+  std::vector<std::pair<VertexId, std::uint32_t>> settled;
+  bool spilled = false;
+  VgcParams p;
+  p.tau = 200;
+  local_search_dist<LocalOrder::kMinDist>(
+      center, 0, p,
+      [&](VertexId u, std::uint32_t du, auto&& emit) {
+        if (dist[u].load(std::memory_order_relaxed) != du) return;
+        if (!spilled) settled.push_back({u, du});
+        for (EdgeId e = g.edge_begin(u); e < g.edge_end(u); ++e) {
+          std::uint32_t nd = du + g.edge_weight(e);
+          if (write_min(dist[g.edge_target(e)], nd)) emit(g.edge_target(e), nd);
+        }
+      },
+      [&](VertexId, std::uint32_t) { spilled = true; });
+  EXPECT_TRUE(spilled);
+  EXPECT_GE(settled.size(), 100u);
+  for (auto [v, d] : settled) EXPECT_EQ(d, expected[v]) << "v=" << v;
 }
 
 TEST(VgcKinfDist, SentinelValue) {

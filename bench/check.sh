@@ -20,7 +20,7 @@ cmake --build "$prefix-san" -j > /dev/null
 
 echo "--- sanitized input-hardening tests ---"
 (cd "$prefix-san" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_tc|test_delta|test_vertex_subset|test_catalog|test_sssp|app_exit_|storage_|registry_')
+    -R 'test_graph_io|test_graph_io_fuzz|test_hashbag|test_graph$|test_storage|test_registry|test_resource|test_pagerank|test_tc|test_delta|test_vertex_subset|test_catalog|test_sssp|test_bcc|test_euler|test_cc|app_exit_|storage_|registry_')
 
 echo "--- sanitized app drivers (success paths, with metrics emission) ---"
 tmp="$(mktemp -d)"

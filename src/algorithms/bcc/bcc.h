@@ -10,8 +10,9 @@
 //    edge stack).
 //  * fast_bcc            — this paper / Dong et al. (PPoPP'23): spanning
 //    forest + Euler tour + low/high over subtree intervals + "fence"
-//    classification + connectivity on an O(n)-node skeleton. O(n+m) work,
-//    polylog span, O(n) auxiliary space; no BFS anywhere.
+//    classification + connectivity on the skeleton, run as union-find over
+//    the input CSR's skeleton edges (no skeleton graph is built). O(n+m)
+//    work, polylog span, O(n) auxiliary space; no BFS anywhere.
 //  * tarjan_vishkin_bcc  — the classic parallel baseline: materializes the
 //    O(m)-node auxiliary edge graph (its space blowup is what the paper's
 //    BCC table shows as o.o.m. on billion-edge graphs).

@@ -19,7 +19,6 @@ struct BccPrep {
   // low[v]/high[v]: extremal `first` value reachable from subtree(v) through
   // a single non-tree edge (or first[v] itself).
   std::vector<std::uint64_t> low, high;
-  std::vector<VertexId> edge_source;  // source vertex of each directed slot
 
   bool is_tree_edge(VertexId u, VertexId v) const {
     return forest.parent[v] == u || forest.parent[u] == v;
@@ -32,7 +31,8 @@ struct BccPrep {
 };
 
 // Preprocess from a caller-supplied spanning forest (fast_bcc passes the
-// union-find forest; gbbs_bcc passes a BFS forest).
+// union-find forest; gbbs_bcc passes a BFS forest). Auxiliary space is O(n):
+// nothing here is indexed by edge.
 inline BccPrep bcc_preprocess_from_forest(const Graph& g,
                                           std::span<const Edge> forest_edges,
                                           std::span<const VertexId> comp_label,
@@ -44,14 +44,6 @@ inline BccPrep bcc_preprocess_from_forest(const Graph& g,
   prep.forest = euler_tour_forest(n, forest_edges, comp_label);
   if (stats) stats->end_round(n);
   const EulerForest& forest = prep.forest;
-
-  prep.edge_source.resize(m);
-  parallel_for(0, n, [&](std::size_t v) {
-    for (EdgeId e = g.edge_begin(static_cast<VertexId>(v));
-         e < g.edge_end(static_cast<VertexId>(v)); ++e) {
-      prep.edge_source[e] = static_cast<VertexId>(v);
-    }
-  });
 
   // Per-vertex extremal `first` over non-tree neighbours.
   std::vector<std::uint64_t> minf(n), maxf(n);
@@ -72,30 +64,31 @@ inline BccPrep bcc_preprocess_from_forest(const Graph& g,
   }
 
   // Subtrees are contiguous in first-order; aggregate with range queries.
-  auto order = tabulate(n, [](std::size_t i) { return static_cast<VertexId>(i); });
-  sort_inplace(std::span<VertexId>(order), [&](VertexId a, VertexId b) {
-    return forest.first[a] < forest.first[b];
+  // `first` values are distinct tour positions, so scattering vertices by
+  // position sorts them, and subtree(v) is the (last[v] - first[v] + 1) / 2
+  // vertices from v on (an s-vertex subtree spans 2s - 1 tour steps).
+  auto last = std::span<const std::uint64_t>(forest.last);
+  std::vector<VertexId> at(reduce_max(last, std::uint64_t{0}) + 1,
+                           kInvalidVertex);
+  parallel_for(0, n, [&](std::size_t v) {
+    at[forest.first[v]] = static_cast<VertexId>(v);
   });
+  auto order = filter(std::span<const VertexId>(at),
+                      [](VertexId v) { return v != kInvalidVertex; });
   std::vector<std::uint64_t> pos_of(n);
   parallel_for(0, n, [&](std::size_t i) { pos_of[order[i]] = i; });
   auto minf_in_order = tabulate(n, [&](std::size_t i) { return minf[order[i]]; });
   auto maxf_in_order = tabulate(n, [&](std::size_t i) { return maxf[order[i]]; });
-  auto first_in_order =
-      tabulate(n, [&](std::size_t i) { return forest.first[order[i]]; });
   RangeMin<std::uint64_t> min_table(minf_in_order, static_cast<std::uint64_t>(-1));
   RangeMax<std::uint64_t> max_table(maxf_in_order, 0);
 
   prep.low.resize(n);
   prep.high.resize(n);
-  parallel_for(0, n, [&](std::size_t vi) {
-    VertexId v = static_cast<VertexId>(vi);
+  parallel_for(0, n, [&](std::size_t v) {
     std::size_t lo = pos_of[v];
-    std::size_t hi = static_cast<std::size_t>(
-        std::upper_bound(first_in_order.begin(), first_in_order.end(),
-                         forest.last[v]) -
-        first_in_order.begin());
-    prep.low[vi] = min_table.query(lo, hi);
-    prep.high[vi] = max_table.query(lo, hi);
+    std::size_t hi = lo + (forest.last[v] - forest.first[v] + 1) / 2;
+    prep.low[v] = min_table.query(lo, hi);
+    prep.high[v] = max_table.query(lo, hi);
   });
   if (stats) stats->end_round(n);
   return prep;
@@ -106,7 +99,7 @@ inline BccPrep bcc_preprocess(const Graph& g, Tracer* stats = nullptr) {
   return bcc_preprocess_from_forest(g, cc.forest, cc.label, stats);
 }
 
-// Steps 4-5 of FAST-BCC (skeleton + connectivity + labels); defined in
+// Steps 4-5 of FAST-BCC (implicit skeleton connectivity + labels); defined in
 // fast_bcc.cpp, shared with gbbs_bcc.
 BccResult bcc_from_prep(const Graph& g, const BccPrep& prep, Tracer* stats);
 

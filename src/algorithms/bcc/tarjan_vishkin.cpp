@@ -31,12 +31,19 @@ BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats) {
 
   internal::BccPrep prep = internal::bcc_preprocess(g, stats);
   const EulerForest& forest = prep.forest;
+  std::vector<VertexId> edge_source(m);  // source vertex of each directed slot
+  parallel_for(0, n, [&](std::size_t v) {
+    for (EdgeId e = g.edge_begin(static_cast<VertexId>(v));
+         e < g.edge_end(static_cast<VertexId>(v)); ++e) {
+      edge_source[e] = static_cast<VertexId>(v);
+    }
+  });
 
   // Node ids: one per undirected edge = per canonical slot (source < target).
   std::vector<EdgeId> node_of_slot(m);
   std::vector<std::uint64_t> is_canonical(m);
   parallel_for(0, m, [&](std::size_t e) {
-    is_canonical[e] = prep.edge_source[e] < g.edge_target(e) ? 1 : 0;
+    is_canonical[e] = edge_source[e] < g.edge_target(e) ? 1 : 0;
   });
   std::vector<std::uint64_t> node_index(m);
   std::uint64_t num_nodes = scan_indexed<std::uint64_t>(
@@ -44,7 +51,7 @@ BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats) {
       [&](std::size_t e, std::uint64_t v) { node_index[e] = v; });
   // Reverse slot lookup to give the non-canonical copy the same node.
   auto reverse_slot = [&](std::size_t e) {
-    VertexId u = prep.edge_source[e];
+    VertexId u = edge_source[e];
     VertexId v = g.edge_target(e);
     auto nbrs = g.neighbors(v);
     auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
@@ -70,7 +77,7 @@ BccResult tarjan_vishkin_bcc(const Graph& g, Tracer* stats) {
   std::vector<Edge> aux(2 * m, Edge{kNone, kNone});
   parallel_for(0, m, [&](std::size_t e) {
     if (!is_canonical[e]) return;
-    VertexId u = prep.edge_source[e];
+    VertexId u = edge_source[e];
     VertexId v = g.edge_target(e);
     VertexId self = static_cast<VertexId>(node_of_slot[e]);
     if (prep.is_tree_edge(u, v)) {

@@ -1,9 +1,10 @@
 // Connected components on undirected (or symmetrized) graphs.
 //
 //  * connected_components — lock-free concurrent union-find (link higher-
-//    indexed root under lower, path-halving finds). Also emits an arbitrary
-//    spanning forest: the edges whose union call merged two components.
-//    Used as a building block by SCC trimming and FAST-BCC.
+//    indexed root under lower, path-halving finds; union_find.h). Also emits
+//    an arbitrary spanning forest: the edges whose union call merged two
+//    components. Used by SCC's weak pre-partition and the BCC baselines;
+//    FAST-BCC runs the same union-find loop with its own edge predicates.
 //  * label_prop_cc — classic label-propagation baseline (O(D) rounds), kept
 //    for the ablation benches: it exhibits exactly the round-count blowup on
 //    large-diameter graphs that the paper targets.
@@ -20,7 +21,8 @@ namespace pasgal {
 struct ConnectivityResult {
   // label[v] = smallest vertex id in v's component.
   std::vector<VertexId> label;
-  // Edges of an arbitrary spanning forest (n - #components of them).
+  // Edges of an arbitrary spanning forest (n - #components of them), in
+  // order of the root each one linked.
   std::vector<Edge> forest;
   std::size_t num_components = 0;
 };

@@ -167,9 +167,10 @@ IncrementalStats incremental_cc(const Graph& g,
       });
   if (has_delete) {
     // A deletion can split a component; labels alone cannot witness the
-    // split. symmetrize() collapses the overlay (graph.h), so the recompute
-    // runs on the effective graph.
-    label = connected_components(g.symmetrize()).label;
+    // split. connected_components treats every directed edge as undirected
+    // but reads the base CSR, so a pending overlay is collapsed first.
+    g.ensure_in_core("incremental connected components");
+    label = connected_components(materialize_effective(g)).label;
     stats.resettled = n;
     stats.fallback = true;
     return stats;

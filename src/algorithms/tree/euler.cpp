@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "parlay/hash_rng.h"
 #include "parlay/parallel.h"
 #include "parlay/primitives.h"
 
@@ -9,27 +10,73 @@ namespace pasgal {
 
 std::vector<std::uint64_t> list_rank(std::span<const std::uint64_t> succ) {
   std::size_t k = succ.size();
-  std::vector<std::uint64_t> rank(k, 1);
-  std::vector<std::uint64_t> next(succ.begin(), succ.end());
-  std::vector<std::uint64_t> rank2(k), next2(k);
-  // Pointer jumping: O(log L) synchronous rounds, each fully parallel.
-  for (;;) {
-    bool any = count_if_index(k, [&](std::size_t i) {
-                 return next[i] != kListEnd;
-               }) > 0;
-    if (!any) break;
-    parallel_for(0, k, [&](std::size_t i) {
-      if (next[i] == kListEnd) {
-        rank2[i] = rank[i];
-        next2[i] = kListEnd;
-      } else {
-        rank2[i] = rank[i] + rank[next[i]];
-        next2[i] = next[next[i]];
+  // Samples: every list head, plus the ids whose hash hits 1 in 64. They cut
+  // the lists into segments of expected length <= 64, one per sample. A
+  // successor is never a head, so a walk tests the hash alone.
+  auto hashed = [](std::uint64_t i) { return (hash64(i) & 63) == 0; };
+  std::vector<std::uint8_t> has_pred(k, 0);
+  parallel_for(0, k, [&](std::size_t i) {
+    if (succ[i] != kListEnd) has_pred[succ[i]] = 1;  // one predecessor each
+  });
+  auto samples = pack_index(
+      k, [&](std::size_t i) { return has_pred[i] == 0 || hashed(i); });
+  std::size_t s = samples.size();
+
+  // Walk each segment once: every node notes its segment and its offset in
+  // it (in rank, for now); the segment notes its length and the next sample.
+  // A task advances kLanes walks in lockstep, so their cache misses overlap
+  // instead of queueing behind one pointer chase.
+  constexpr std::size_t kLanes = 16;
+  std::vector<std::uint64_t> rank(k), segment(k);
+  std::vector<std::uint64_t> seg_rank(s), seg_next(s);
+  auto sample_index = [&](std::uint64_t id) {
+    return static_cast<std::uint64_t>(
+        std::lower_bound(samples.begin(), samples.end(), id) - samples.begin());
+  };
+  blocked_for(0, s, kLanes, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    struct Walk {
+      std::uint64_t seg, cur, offset;
+    };
+    Walk walks[kLanes];
+    std::size_t live = hi - lo;
+    for (std::size_t i = 0; i < live; ++i) {
+      walks[i] = {lo + i, samples[lo + i], 0};
+    }
+    while (live > 0) {
+      for (std::size_t i = 0; i < live;) {
+        Walk& w = walks[i];
+        rank[w.cur] = w.offset++;
+        segment[w.cur] = w.seg;
+        std::uint64_t next = succ[w.cur];
+        if (next != kListEnd && !hashed(next)) {
+          w.cur = next;
+          ++i;
+          continue;
+        }
+        seg_rank[w.seg] = w.offset;
+        seg_next[w.seg] = next == kListEnd ? kListEnd : sample_index(next);
+        w = walks[--live];  // retire: the last live walk takes this slot
       }
+    }
+  });
+
+  // Rank the short sample list by weighted pointer jumping.
+  std::vector<std::uint64_t> rank2(s), next2(s);
+  while (count_if_index(s, [&](std::size_t j) {
+           return seg_next[j] != kListEnd;
+         }) > 0) {
+    parallel_for(0, s, [&](std::size_t j) {
+      std::uint64_t nx = seg_next[j];
+      rank2[j] = nx == kListEnd ? seg_rank[j] : seg_rank[j] + seg_rank[nx];
+      next2[j] = nx == kListEnd ? kListEnd : seg_next[nx];
     });
-    std::swap(rank, rank2);
-    std::swap(next, next2);
+    std::swap(seg_rank, rank2);
+    std::swap(seg_next, next2);
   }
+
+  parallel_for(0, k, [&](std::size_t i) {
+    rank[i] = seg_rank[segment[i]] - rank[i];
+  });
   return rank;
 }
 

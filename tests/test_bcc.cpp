@@ -112,7 +112,30 @@ TEST(BccRounds, GbbsBccNeedsDiameterRounds) {
   EXPECT_EQ(normalize_bcc_labels(a.edge_label),
             normalize_bcc_labels(b.edge_label));
   EXPECT_GT(gbbs_stats.rounds(), 700u);
-  EXPECT_LT(fast_stats.rounds(), 30u);
+  // Forest, Euler tour, low/high, range aggregation, skeleton, readout.
+  EXPECT_EQ(fast_stats.rounds(), 6u);
+}
+
+// The union-find passes run in a nondeterministic order at P > 1, but every
+// skeleton label is a component minimum, so the raw labels (not only the
+// partition) must repeat exactly across runs and worker counts.
+TEST_P(BccTest, RawLabelsRepeatAcrossRunsAndWorkers) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  cases.emplace_back("road", gen::road_grid(200, 200, 0.85).symmetrize());
+  cases.emplace_back("rmat", gen::rmat(14, 200000).symmetrize());
+  for (const auto& [name, g] : cases) {
+    Scheduler::reset(1);
+    BccResult fast_ref = fast_bcc(g);
+    BccResult gbbs_ref = gbbs_bcc(g);
+    auto want = normalize_bcc_labels(hopcroft_tarjan_bcc(g).edge_label);
+    EXPECT_EQ(normalize_bcc_labels(fast_ref.edge_label), want) << name;
+    EXPECT_EQ(normalize_bcc_labels(gbbs_ref.edge_label), want) << name;
+    Scheduler::reset(GetParam());
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(fast_bcc(g), fast_ref) << name << " run " << run;
+      EXPECT_EQ(gbbs_bcc(g), gbbs_ref) << name << " run " << run;
+    }
+  }
 }
 
 TEST_P(BccTest, BothCopiesAgree) {

@@ -588,6 +588,33 @@ TEST(Incremental, CcDeleteFallsBackToFullRecompute) {
   EXPECT_EQ(label, expect.label);
 }
 
+TEST(Incremental, CcDeleteFallbackMatchesRebuildFromScratch) {
+  // A directed road grid cut down column 10: every edge touching that column
+  // is deleted through the overlay, which splits the grid into two halves
+  // and 20 isolated vertices.
+  const std::size_t rows = 20, cols = 20;
+  Graph g = gen::road_grid(rows, cols, 0.5);
+  std::vector<VertexId> label = connected_components(g).label;
+  ASSERT_EQ(count_distinct_labels(label), 1u);
+  std::vector<EdgeUpdate> batch;
+  std::vector<Edge> kept;
+  for (const Edge& e : g.to_edges()) {
+    if (e.from % cols == 10 || e.to % cols == 10) {
+      batch.push_back({EdgeUpdate::Op::kDelete, e.from, e.to});
+    } else {
+      kept.push_back(e);
+    }
+  }
+  apply_updates(g, batch);
+  ASSERT_TRUE(g.has_delta());
+  IncrementalStats st = incremental_cc(g, batch, label);
+  EXPECT_TRUE(st.fallback);
+  ConnectivityResult expect =
+      connected_components(Graph::from_edges(rows * cols, kept));
+  EXPECT_EQ(expect.num_components, 2u + rows);
+  EXPECT_EQ(label, expect.label);
+}
+
 TEST(Incremental, RepairIsDeterministicAcrossWorkerCounts) {
   Graph g = gen::rmat(10, 6000, 17);
   Graph gt = g.transpose();

@@ -56,6 +56,71 @@ TEST_P(EulerTest, ListRankLongChain) {
   EXPECT_EQ(rank[k / 2], k - k / 2);
 }
 
+// Sequential reference: walk each list from its head and count down.
+std::vector<std::uint64_t> walk_ranks(const std::vector<std::uint64_t>& succ) {
+  std::size_t k = succ.size();
+  std::vector<std::uint8_t> has_pred(k, 0);
+  for (std::uint64_t s : succ) {
+    if (s != kListEnd) has_pred[s] = 1;
+  }
+  std::vector<std::uint64_t> rank(k, 0);
+  for (std::size_t head = 0; head < k; ++head) {
+    if (has_pred[head]) continue;
+    std::vector<std::uint64_t> path;
+    for (std::uint64_t cur = head; cur != kListEnd; cur = succ[cur]) {
+      path.push_back(cur);
+    }
+    for (std::size_t j = 0; j < path.size(); ++j) {
+      rank[path[j]] = path.size() - j;
+    }
+  }
+  return rank;
+}
+
+// Threads lists of the given lengths through a random permutation of the ids,
+// so neighbours in a list are far apart and lists interleave.
+std::vector<std::uint64_t> permuted_lists(
+    const std::vector<std::size_t>& lengths, std::uint64_t seed) {
+  std::size_t k = 0;
+  for (std::size_t len : lengths) k += len;
+  std::vector<std::uint64_t> ids(k);
+  for (std::size_t i = 0; i < k; ++i) ids[i] = i;
+  Random rng(seed);
+  for (std::size_t i = k; i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.ith_rand(i) % i]);
+  }
+  std::vector<std::uint64_t> succ(k, kListEnd);
+  std::size_t pos = 0;
+  for (std::size_t len : lengths) {
+    for (std::size_t j = 0; j + 1 < len; ++j) {
+      succ[ids[pos + j]] = ids[pos + j + 1];
+    }
+    pos += len;
+  }
+  return succ;
+}
+
+TEST_P(EulerTest, ListRankRandomPermutationMatchesWalk) {
+  auto succ = permuted_lists({200000}, 31);
+  auto rank = list_rank(succ);
+  EXPECT_EQ(rank, walk_ranks(succ));
+}
+
+TEST_P(EulerTest, ListRankInterleavedListsMatchWalk) {
+  std::vector<std::size_t> lengths;
+  Random rng(47);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    lengths.push_back(1 + rng.ith_rand(i) % 400);
+  }
+  auto succ = permuted_lists(lengths, 53);
+  auto rank = list_rank(succ);
+  EXPECT_EQ(rank, walk_ranks(succ));
+}
+
+TEST_P(EulerTest, ListRankEmpty) {
+  EXPECT_TRUE(list_rank(std::vector<std::uint64_t>{}).empty());
+}
+
 // Reference ancestor check by walking parent pointers.
 bool ancestor_by_walk(const EulerForest& f, VertexId anc, VertexId v) {
   for (;;) {

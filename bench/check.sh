@@ -10,13 +10,13 @@ prefix="${1:-build}"
 
 echo "=== plain build + ctest ==="
 cmake -B "$prefix" -S . > /dev/null
-cmake --build "$prefix" -j > /dev/null
+cmake --build "$prefix" -j "$(nproc)" > /dev/null
 (cd "$prefix" && ctest --output-on-failure -j "$(nproc)")
 
 echo
 echo "=== ASan+UBSan build ==="
 cmake -B "$prefix-san" -S . -DPASGAL_SANITIZE=address,undefined > /dev/null
-cmake --build "$prefix-san" -j > /dev/null
+cmake --build "$prefix-san" -j "$(nproc)" > /dev/null
 
 echo "--- sanitized input-hardening tests ---"
 (cd "$prefix-san" && ctest --output-on-failure -j "$(nproc)" \
@@ -178,7 +178,7 @@ echo "--- serve daemon gate (TSan build): concurrency, faults, deadlines, drain 
 # JSON / "error [category] ..."), every injected fault must surface as a
 # typed error on exactly one response, and SIGTERM must drain to exit 0.
 cmake -B "$prefix-tsan" -S . -DPASGAL_SANITIZE=thread > /dev/null
-cmake --build "$prefix-tsan" -j --target app_serve > /dev/null
+cmake --build "$prefix-tsan" -j "$(nproc)" --target app_serve > /dev/null
 SERVE="$prefix-tsan/apps/serve"
 sock="$tmp/daemon.sock"
 

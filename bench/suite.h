@@ -178,15 +178,16 @@ class BenchJson {
     }
     out += "]}\n";
     std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) {
+    bool ok = f != nullptr &&
+              std::fwrite(out.data(), 1, out.size(), f) == out.size();
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    if (!ok) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    ok = std::fclose(f) == 0 && ok;
     std::printf("bench metrics: wrote %s (%zu runs)\n", path.c_str(),
                 runs_.size());
-    return ok;
+    return true;
   }
 
  private:

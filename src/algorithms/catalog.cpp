@@ -1,9 +1,12 @@
 #include "algorithms/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 #include "algorithms/bfs/bfs.h"
@@ -119,14 +122,46 @@ void tc_params(const Output& out, MetricsDoc& doc) {
   doc.set_param("triangles", std::get<std::uint64_t>(out));
 }
 
-const Family kBfs{"bfs", true, bfs_line, nullptr};
-const Family kSssp{"sssp", true, sssp_line, nullptr};
-const Family kScc{"scc", false, scc_line, nullptr};
-const Family kBcc{"bcc", false, bcc_line, nullptr};
-const Family kCc{"cc", false, cc_line, nullptr};
-const Family kKcore{"kcore", false, kcore_line, nullptr};
-const Family kPagerank{"pagerank", false, pagerank_line, pagerank_params};
-const Family kTc{"tc", false, tc_line, tc_params};
+// --- agreement ---------------------------------------------------------------
+
+bool identical(const Output& a, const Output& b) { return a == b; }
+
+// Equal iff both label vectors induce the same partition.
+template <typename L>
+bool same_partition(const Output& a, const Output& b) {
+  auto blocks = [](const Output& out) {
+    const auto& label = std::get<std::vector<L>>(out);
+    return normalize_scc_labels(
+        std::vector<SccLabel>(label.begin(), label.end()));
+  };
+  return blocks(a) == blocks(b);
+}
+
+bool same_bccs(const Output& a, const Output& b) {
+  const BccResult& x = std::get<BccResult>(a);
+  const BccResult& y = std::get<BccResult>(b);
+  return x.num_bccs == y.num_bccs && normalize_bcc_labels(x.edge_label) ==
+                                         normalize_bcc_labels(y.edge_label);
+}
+
+bool same_ranks(const Output& a, const Output& b) {
+  const PagerankResult& x = std::get<PagerankResult>(a);
+  const PagerankResult& y = std::get<PagerankResult>(b);
+  auto diff = [](double p, double q) { return std::fabs(p - q); };
+  return x.iterations == y.iterations && x.rank.size() == y.rank.size() &&
+         std::transform_reduce(x.rank.begin(), x.rank.end(), y.rank.begin(),
+                               0.0, std::plus<>(), diff) < 1e-9;
+}
+
+const Family kBfs{"bfs", true, bfs_line, nullptr, identical};
+const Family kSssp{"sssp", true, sssp_line, nullptr, identical};
+const Family kScc{"scc", false, scc_line, nullptr, same_partition<SccLabel>};
+const Family kBcc{"bcc", false, bcc_line, nullptr, same_bccs};
+const Family kCc{"cc", false, cc_line, nullptr, same_partition<VertexId>};
+const Family kKcore{"kcore", false, kcore_line, nullptr, identical};
+const Family kPagerank{"pagerank", false, pagerank_line, pagerank_params,
+                       same_ranks};
+const Family kTc{"tc", false, tc_line, tc_params, identical};
 
 // --- runners -----------------------------------------------------------------
 
@@ -292,6 +327,11 @@ const Variant* find(std::string_view family, std::string_view name) {
     if (name == v.name) return &v;
   }
   return nullptr;
+}
+
+const Variant& oracle(std::string_view family) {
+  const Variant* seq = find(family, "seq");
+  return seq != nullptr ? *seq : variants(family).front();
 }
 
 std::vector<std::string> names(std::string_view family) {

@@ -10,8 +10,10 @@
 //
 // Everything that runs an algorithm by name reads this table: the eight
 // drivers (`-a` sets, defaults, result lines), pasgal_serve (served `algo=`
-// sets, resolved before any I/O), the run_api guards (check_inputs), and
-// validate_metrics (known families). A new variant is one row.
+// sets, resolved before any I/O), the run_api guards (check_inputs),
+// validate_metrics (known families), and `bench_tables` (its rows, columns,
+// oracle cross-checks and BENCH_<family>.json records). A new variant is one
+// row.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +69,10 @@ struct Family {
   std::string (*result_line)(const Output&, const Inputs&);
   // Params the result adds to a metrics document; null when there are none.
   void (*result_params)(const Output&, MetricsDoc&);
+  // True when two outputs are the same answer: equal (bfs, sssp, kcore, tc),
+  // the same partition (scc, cc; bcc: of the edges, and the same count), or
+  // the same iteration count and ranks within L1 1e-9 (pagerank).
+  bool (*agrees)(const Output&, const Output&);
 };
 
 // Bits of Variant::served.
@@ -90,6 +96,10 @@ std::span<const Variant> variants();
 // One family's rows (empty for an unknown family).
 std::span<const Variant> variants(std::string_view family);
 const Variant* find(std::string_view family, std::string_view name);
+// The row a family's other rows are checked against (Family::agrees): the
+// sequential baseline `seq`, or the family's first row where there is none
+// (cc: `uf`). `family` must be a catalog family.
+const Variant& oracle(std::string_view family);
 std::vector<std::string> names(std::string_view family);
 
 const Family* find_family(std::string_view name);

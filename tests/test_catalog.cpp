@@ -1,12 +1,13 @@
 // The variant catalog (algorithms/catalog.h): every row runs identically on
 // a heap graph, a mmap'd .pgr and a v2-compressed .pgr and matches its
-// family's sequential oracle; the name sets the drivers and the daemon
-// expose; the in_core/overlay columns against what each run_api entry point
-// really throws; validate_metrics' family whitelist; and every AlgoOptions
-// field reaching the kernel that reads it.
+// family's sequential oracle through Family::agrees, which accepts a
+// relabelled answer and rejects a wrong one; the name sets the drivers and
+// the daemon expose; the in_core/overlay columns against what each run_api
+// entry point really throws; validate_metrics' family whitelist; and every
+// AlgoOptions field reaching the kernel that reads it.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -37,16 +38,6 @@ using catalog::Output;
 using catalog::Variant;
 
 const std::vector<VertexId> kSources = {0, 3, 17};
-
-// Relabels by first occurrence, so label sets that induce the same
-// partition compare equal.
-template <typename L>
-std::vector<std::size_t> canon(const std::vector<L>& labels) {
-  std::map<L, std::size_t> ids;
-  std::vector<std::size_t> out;
-  for (L l : labels) out.push_back(ids.emplace(l, ids.size()).first->second);
-  return out;
-}
 
 std::vector<VertexId> union_find_cc(const Graph& g) {
   std::vector<VertexId> parent(g.num_vertices());
@@ -132,48 +123,19 @@ class CatalogTest : public ::testing::Test {
 
 // --- every row on every backend vs the sequential oracle ---------------------
 
-void expect_matches_oracle(const Variant& v, const Output& out,
-                           const catalog::Inputs& in, VertexId source) {
-  std::string family = v.family->name;
-  std::string what = family + "/" + v.name;
-  if (family == "bfs") {
-    EXPECT_EQ(std::get<std::vector<std::uint32_t>>(out), seq_bfs(in.g, source))
-        << what;
-  } else if (family == "sssp") {
-    EXPECT_EQ(std::get<std::vector<Dist>>(out), dijkstra(in.wg, source))
-        << what;
-  } else if (family == "scc") {
-    EXPECT_EQ(canon(std::get<std::vector<SccLabel>>(out)),
-              canon(tarjan_scc(in.g)))
-        << what;
-  } else if (family == "bcc") {
-    BccResult want = hopcroft_tarjan_bcc(in.g);
-    const BccResult& got = std::get<BccResult>(out);
-    EXPECT_EQ(canon(got.edge_label), canon(want.edge_label)) << what;
-    EXPECT_EQ(got.num_bccs, want.num_bccs) << what;
-  } else if (family == "cc") {
-    EXPECT_EQ(canon(std::get<std::vector<VertexId>>(out)),
-              canon(union_find_cc(in.g)))
-        << what;
-  } else if (family == "kcore") {
-    EXPECT_EQ(std::get<std::vector<std::uint32_t>>(out), seq_kcore(in.g))
-        << what;
-  } else if (family == "pagerank") {
-    // Same math, different summation order: agree to well below epsilon.
-    PagerankResult want = seq_pagerank(in.g, in.gt, {}).output;
-    const PagerankResult& got = std::get<PagerankResult>(out);
-    ASSERT_EQ(got.rank.size(), want.rank.size()) << what;
-    EXPECT_EQ(got.iterations, want.iterations) << what;
-    double l1 = 0;
-    for (std::size_t i = 0; i < want.rank.size(); ++i) {
-      l1 += std::fabs(got.rank[i] - want.rank[i]);
-    }
-    EXPECT_LT(l1, 1e-9) << what;
-  } else if (family == "tc") {
-    EXPECT_EQ(std::get<std::uint64_t>(out), seq_tc(in.g)) << what;
-  } else {
-    ADD_FAILURE() << "no oracle for family " << family;
-  }
+// The family's answer from an oracle independent of the catalog's rows.
+Output oracle(const std::string& family, const catalog::Inputs& in,
+              VertexId source) {
+  if (family == "bfs") return seq_bfs(in.g, source);
+  if (family == "sssp") return dijkstra(in.wg, source);
+  if (family == "scc") return tarjan_scc(in.g);
+  if (family == "bcc") return hopcroft_tarjan_bcc(in.g);
+  if (family == "cc") return union_find_cc(in.g);
+  if (family == "kcore") return seq_kcore(in.g);
+  if (family == "pagerank") return seq_pagerank(in.g, in.gt, {}).output;
+  if (family == "tc") return seq_tc(in.g);
+  ADD_FAILURE() << "no oracle for family " << family;
+  return {};
 }
 
 TEST_F(CatalogTest, EveryRowMatchesAcrossBackendsAndTheOracle) {
@@ -191,14 +153,62 @@ TEST_F(CatalogTest, EveryRowMatchesAcrossBackendsAndTheOracle) {
         EXPECT_EQ(got.outputs, expected.outputs) << backend;
       }
       for (std::size_t i = 0; i < expected.outputs.size(); ++i) {
-        VertexId source = batch ? kSources[i] : 0;
-        expect_matches_oracle(v, expected.outputs[i], heap, source);
+        Output want = oracle(v.family->name, heap, batch ? kSources[i] : 0);
+        EXPECT_TRUE(v.family->agrees(expected.outputs[i], want)) << i;
       }
       // The family formatter renders every output.
       EXPECT_FALSE(
           v.family->result_line(expected.outputs.front(), heap).empty());
     }
   }
+}
+
+// Renames every label of `same` (~l is one-to-one, so the partition stays)
+// and folds a second block of `wrong` into the block of wrong[0].
+template <typename L>
+void relabel_and_merge(std::vector<L>& same, std::vector<L>& wrong) {
+  for (L& l : same) l = ~l;
+  auto other = std::find_if(wrong.begin(), wrong.end(),
+                            [&](L l) { return l != wrong[0]; });
+  ASSERT_NE(other, wrong.end());
+  std::replace(wrong.begin(), wrong.end(), L{*other}, wrong[0]);
+}
+
+TEST_F(CatalogTest, AgreesAcceptsRelabelledAndRejectsMutatedOutputs) {
+  std::set<std::string> families;
+  for (const Variant& v : catalog::variants()) {
+    std::string family = v.family->name;
+    if (!families.insert(family).second) continue;
+    SCOPED_TRACE(family);
+    const Output want = oracle(family, open(v, "heap"), 0);
+    Output same = want, wrong = want;
+    if (family == "scc") {
+      relabel_and_merge(std::get<std::vector<SccLabel>>(same),
+                        std::get<std::vector<SccLabel>>(wrong));
+    } else if (family == "cc") {
+      relabel_and_merge(std::get<std::vector<VertexId>>(same),
+                        std::get<std::vector<VertexId>>(wrong));
+    } else if (family == "bcc") {
+      // The merged copy keeps num_bccs: the labels alone must tell.
+      relabel_and_merge(std::get<BccResult>(same).edge_label,
+                        std::get<BccResult>(wrong).edge_label);
+    } else if (family == "sssp") {
+      ++std::get<std::vector<Dist>>(wrong)[0];
+    } else if (family == "pagerank") {
+      std::get<PagerankResult>(wrong).rank[0] += 1e-6;
+    } else if (family == "tc") {
+      ++std::get<std::uint64_t>(wrong);
+    } else {
+      ++std::get<std::vector<std::uint32_t>>(wrong)[0];  // bfs, kcore
+    }
+    bool renamed = family == "scc" || family == "cc" || family == "bcc";
+    EXPECT_EQ(same != want, renamed);
+    EXPECT_TRUE(v.family->agrees(same, want));
+    EXPECT_TRUE(v.family->agrees(want, same));
+    EXPECT_FALSE(v.family->agrees(wrong, want));
+    EXPECT_FALSE(v.family->agrees(want, wrong));
+  }
+  EXPECT_EQ(families.size(), 8u);
 }
 
 // --- name sets ---------------------------------------------------------------

@@ -1,15 +1,11 @@
 // Randomized differential sweep: for a grid of (generator, seed) inputs,
-// every parallel algorithm must agree with its sequential reference. This is
-// the library's broadest property net — each case exercises the full
-// pipeline (generator -> CSR -> algorithm -> normalization).
+// every catalog row with a single-mode run must agree with its family's
+// oracle row (catalog::oracle) under Family::agrees. This
+// is the library's broadest property net — each case exercises the full
+// pipeline (generator -> CSR -> input shape -> algorithm -> comparison).
 #include <gtest/gtest.h>
 
-#include "algorithms/bcc/bcc.h"
-#include "algorithms/bfs/bfs.h"
-#include "algorithms/cc/cc.h"
-#include "algorithms/kcore/kcore.h"
-#include "algorithms/scc/scc.h"
-#include "algorithms/sssp/sssp.h"
+#include "algorithms/catalog.h"
 #include "graphs/generators.h"
 
 namespace pasgal {
@@ -50,50 +46,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSweep,
                                            SweepCase{9, 4}, SweepCase{10, 1},
                                            SweepCase{11, 4}, SweepCase{12, 4}));
 
-TEST_P(RandomSweep, BfsAgreement) {
+TEST_P(RandomSweep, EveryRowAgreesWithItsOracle) {
   Graph g = make_digraph();
-  Graph gt = g.transpose();
-  VertexId src = static_cast<VertexId>(hash64(GetParam().seed + 10) % g.num_vertices());
-  auto expected = seq_bfs(g, src);
-  EXPECT_EQ(pasgal_bfs(g, gt, {.source = src}).output, expected);
-  EXPECT_EQ(gbbs_bfs(g, gt, src), expected);
-  EXPECT_EQ(gapbs_bfs(g, gt, {.source = src}).output, expected);
-}
-
-TEST_P(RandomSweep, SccAgreement) {
-  Graph g = make_digraph();
-  Graph gt = g.transpose();
-  auto expected = normalize_scc_labels(tarjan_scc(g));
-  EXPECT_EQ(normalize_scc_labels(pasgal_scc(g, gt, {}).output), expected);
-  EXPECT_EQ(normalize_scc_labels(gbbs_scc(g, gt, {}).output), expected);
-  EXPECT_EQ(normalize_scc_labels(multistep_scc(g, gt, {}).output), expected);
-}
-
-TEST_P(RandomSweep, BccAgreement) {
-  Graph g = make_digraph().symmetrize();
-  auto expected = normalize_bcc_labels(hopcroft_tarjan_bcc(g).edge_label);
-  EXPECT_EQ(normalize_bcc_labels(fast_bcc(g).edge_label), expected);
-  EXPECT_EQ(normalize_bcc_labels(gbbs_bcc(g).edge_label), expected);
-  EXPECT_EQ(normalize_bcc_labels(tarjan_vishkin_bcc(g).edge_label), expected);
-}
-
-TEST_P(RandomSweep, SsspAgreement) {
-  auto g = gen::add_weights(make_digraph(), 100, GetParam().seed + 20);
-  VertexId src = static_cast<VertexId>(hash64(GetParam().seed + 21) % g.num_vertices());
-  auto expected = dijkstra(g, src);
-  EXPECT_EQ(stepping_sssp(g, {.source = src}).output, expected);
-  EXPECT_EQ(stepping_sssp(g, {.source = src,
-                              .sssp_delta_mode = true,
-                              .sssp_delta = 64})
-                .output,
-            expected);
-  EXPECT_EQ(bellman_ford(g, src), expected);
-}
-
-TEST_P(RandomSweep, KcoreAndCcAgreement) {
-  Graph g = make_digraph().symmetrize();
-  EXPECT_EQ(pasgal_kcore(g, {}).output, seq_kcore(g));
-  EXPECT_EQ(label_prop_cc(g), connected_components(g).label);
+  std::uint64_t s = GetParam().seed;
+  auto wg = gen::add_weights(g, 100, s + 20);
+  const AlgoOptions opt{
+      .source = static_cast<VertexId>(hash64(s + 10) % g.num_vertices()),
+      .sssp_delta = 64};
+  for (const catalog::Variant& v : catalog::variants()) {
+    if (v.run == nullptr) continue;
+    const catalog::Variant& oracle = catalog::oracle(v.family->name);
+    SCOPED_TRACE(std::string(v.family->name) + "/" + v.name);
+    catalog::Run got = v.run(catalog::prepare(v.input, g, wg), opt);
+    catalog::Run want = oracle.run(catalog::prepare(oracle.input, g, wg), opt);
+    const catalog::Output& a = got.outputs.front();
+    const catalog::Output& b = want.outputs.front();
+    EXPECT_TRUE(v.family->agrees(a, b));
+    // Every cc row promises min-vertex labels (cc.h, ldd.h), which is more
+    // than the partition `agrees` compares: check the labels themselves.
+    if (v.family->name == std::string_view("cc")) {
+      EXPECT_TRUE(a == b);
+    }
+  }
 }
 
 }  // namespace

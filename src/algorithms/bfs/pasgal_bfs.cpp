@@ -16,11 +16,15 @@ namespace {
 // through O(log D) buckets.
 constexpr int kNumBuckets = 34;
 
-// Engage VGC only when the frontier's work is below kVgcEngageFactor*tau
-// edge operations — i.e. when per-round work is too small to amortize
-// scheduling on a many-core machine. Deliberately NOT scaled by the current
-// worker count: the algorithm's round structure should not change with the
-// machine it happens to run on.
+// VGC's sizing constant, in edge operations per budget unit tau:
+//  * VGC engages only when the frontier's work is below kVgcEngageFactor*tau
+//    edge operations — i.e. when per-round work is too small to amortize
+//    scheduling on a many-core machine. Deliberately NOT scaled by the current
+//    worker count: the algorithm's round structure should not change with the
+//    machine it happens to run on.
+//  * A local search stops expanding once it has scanned kVgcEngageFactor*tau
+//    edges. tau counts expansions, so without this bound one task around a
+//    hub scans every edge of its ball serially.
 constexpr std::uint64_t kVgcEngageFactor = 16;
 
 int bucket_for(std::uint32_t gap) {
@@ -37,18 +41,49 @@ std::uint32_t entry_dist(std::uint64_t e) {
   return static_cast<std::uint32_t>(e >> 32);
 }
 
+// Extracts a bag, keeping the entries whose vertex still has the entry's
+// distance.
+std::vector<std::uint64_t> live_entries(
+    HashBag<std::uint64_t>& bag,
+    const std::vector<std::atomic<std::uint32_t>>& dist) {
+  auto entries = bag.extract_all();
+  return filter(std::span<const std::uint64_t>(entries), [&](std::uint64_t e) {
+    return dist[entry_vertex(e)].load(std::memory_order_relaxed) ==
+           entry_dist(e);
+  });
+}
+
 }  // namespace
 
 namespace internal {
 
 // PASGAL BFS (§2.2): label-correcting BFS over hash-bag frontiers.
-//  * Sparse rounds run VGC local searches (budget tau) when the frontier is
-//    small, or one-hop expansion (tau=1) when it already has parallelism.
+//  * Sparse rounds run VGC local searches (budget tau, and at most
+//    kVgcEngageFactor*tau edges each) when the frontier is small, or one-hop
+//    expansion (tau=1) when it already has parallelism.
 //  * Entries carry the tentative distance they were enqueued with; stale
 //    entries are skipped (a vertex may be visited more than once — the extra
 //    work the paper accepts in exchange for fewer rounds).
-//  * On clean dense levels, direction-optimized pull rounds take over, as in
-//    the best low-diameter BFS implementations.
+//  * Once a round's work exceeds m/dense_threshold_den, direction-optimized
+//    pull rounds take over, as in the best low-diameter BFS implementations,
+//    whatever the buckets hold.
+//
+// Why the pull levels may start from any bucket state. Every vertex with a
+// finite tentative label d has either been expanded at d (each out-neighbour
+// holds a label <= d+1; labels only fall, so this stays true) or has a live
+// entry (v, d) pending. The dense phase drains every bucket and starts at the
+// smallest live pending distance L. Claim: a vertex v with true distance
+// delta(v) <= L holds dist[v] = delta(v). By induction on delta(v): the
+// source holds 0; otherwise v's predecessor u on a shortest path has
+// delta(u) = delta(v)-1 < L, so dist[u] = delta(u) by induction, u has no
+// live entry (its distance would be below L) and was therefore expanded at
+// delta(u), giving dist[v] <= delta(v); and no label is below the true
+// distance. So every label at or below L is exact, {dist == L} is exactly
+// the true level L, and each pull computes the next true level in full. When
+// the wave subsides at `level`, the levels below it are expanded (pulled
+// from), the level frontier goes back to the buckets, and so does every
+// pending entry beyond `level` that is still live, which restores the
+// invariant for the sparse rounds.
 std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                                       const AlgoOptions& opt, Tracer* stats) {
   const VertexId source = opt.source;
@@ -93,28 +128,12 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
     }
     if (lowest < 0) break;
 
-    auto entries = bags[lowest]->extract_all();
-    auto valid = filter(std::span<const std::uint64_t>(entries),
-                        [&](std::uint64_t e) {
-                          return dist[entry_vertex(e)].load(
-                                     std::memory_order_relaxed) == entry_dist(e);
-                        });
-    if (valid.empty()) continue;
-
-    std::uint32_t base = reduce_indexed<std::uint32_t>(
-        valid.size(), kInfDist,
-        [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
-        [&](std::size_t i) { return entry_dist(valid[i]); });
-    std::uint32_t max_dist = reduce_indexed<std::uint32_t>(
-        valid.size(), 0,
-        [](std::uint32_t a, std::uint32_t b) { return a < b ? b : a; },
-        [&](std::size_t i) { return entry_dist(valid[i]); });
-
     // The whole bucket is processed at once: its entries span at most a 2x
     // distance range (§2.2 — "frontier i maintains vertices with distance
     // 2^i from the current frontier"), so none of them is too "unready",
     // and deferring them would reintroduce one round per level.
-    std::vector<std::uint64_t> ready = std::move(valid);
+    std::vector<std::uint64_t> ready = live_entries(*bags[lowest], dist);
+    if (ready.empty()) continue;
 
     EdgeId ready_work =
         reduce_indexed<EdgeId>(ready.size(), 0, std::plus<EdgeId>{},
@@ -123,25 +142,24 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                                }) +
         ready.size();
 
-    // Dense mode needs a clean single-level frontier with no other pending
-    // entries (see the level-by-level argument in the function comment).
-    bool bags_quiet = max_dist == base;
-    if (bags_quiet) {
-      for (int b = 0; b < kNumBuckets; ++b) {
-        if (!bags[b]->empty()) {
-          bags_quiet = false;
-          break;
-        }
-      }
-    }
-
     // --- Dense (direction-optimized) phase -------------------------------
-    if (use_dense && bags_quiet && ready_work > dense_limit) {
-      std::uint32_t level = base;
+    if (use_dense && ready_work > dense_limit) {
+      // Drain every bucket; pull from the smallest live pending distance
+      // (see the function comment for why its labels are exact).
+      std::vector<std::vector<std::uint64_t>> parts;
+      parts.push_back(std::move(ready));
+      for (auto& bag : bags) {
+        if (!bag->empty()) parts.push_back(live_entries(*bag, dist));
+      }
+      std::vector<std::uint64_t> pending = flatten(parts);
+      std::uint32_t level = reduce_indexed<std::uint32_t>(
+          pending.size(), kInfDist,
+          [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
+          [&](std::size_t i) { return entry_dist(pending[i]); });
+      std::vector<std::uint8_t> frontier(n);
       for (;;) {
         if (cancel != nullptr) cancel->check("pasgal_bfs dense level");
         // Frontier by value: every vertex currently at `level`.
-        std::vector<std::uint8_t> frontier(n);
         parallel_for(0, n, [&](std::size_t v) {
           frontier[v] =
               dist[v].load(std::memory_order_relaxed) == level ? 1 : 0;
@@ -157,16 +175,8 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                                         : 0;
                            }) +
                        fsize;
-        if (fwork <= dense_limit) {
-          // Hand the frontier back to the sparse machinery.
-          parallel_for(0, n, [&](std::size_t v) {
-            if (frontier[v]) {
-              bags[0]->insert(encode(static_cast<VertexId>(v), level));
-            }
-          });
-          break;
-        }
-        if (stats) stats->end_round(fsize, RoundKind::kDense);
+        if (fwork <= dense_limit) break;
+        if (stats) stats->set_round_kind(RoundKind::kDense);
         std::uint32_t next_level = level + 1;
         parallel_for(0, n, [&](std::size_t vi) {
           VertexId v = static_cast<VertexId>(vi);
@@ -181,18 +191,42 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
           }
           if (stats) stats->add_edges(scanned);
         });
-        if (stats) stats->add_visits(fsize);
+        if (stats) {
+          stats->add_visits(fsize);
+          stats->end_round(fsize);
+        }
         level = next_level;
       }
+      // Hand the level frontier and the live entries beyond it back to the
+      // sparse machinery.
+      parallel_for(0, n, [&](std::size_t v) {
+        if (frontier[v]) {
+          bags[0]->insert(encode(static_cast<VertexId>(v), level));
+        }
+      });
+      parallel_for(0, pending.size(), [&](std::size_t i) {
+        std::uint64_t e = pending[i];
+        std::uint32_t d = entry_dist(e);
+        if (d > level &&
+            dist[entry_vertex(e)].load(std::memory_order_relaxed) == d) {
+          bags[bucket_for(d - level)]->insert(e);
+        }
+      });
       continue;
     }
 
     // --- Sparse phase: VGC local searches (tau=1 when already parallel) ---
+    std::uint32_t base = reduce_indexed<std::uint32_t>(
+        ready.size(), kInfDist,
+        [](std::uint32_t a, std::uint32_t b) { return a < b ? a : b; },
+        [&](std::size_t i) { return entry_dist(ready[i]); });
     VgcParams vgc = vgc_opt;
     if (ready_work >= vgc_limit) vgc.tau = 1;
+    const std::uint64_t edge_budget =
+        static_cast<std::uint64_t>(vgc.tau) * kVgcEngageFactor;
     if (stats) {
-      stats->end_round(ready.size(),
-                       vgc.tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
+      stats->set_round_kind(vgc.tau > 1 ? RoundKind::kLocal
+                                        : RoundKind::kSparse);
     }
     parallel_for(
         0, ready.size(),
@@ -211,12 +245,16 @@ std::vector<std::uint32_t> pasgal_bfs(const Graph& g, const Graph& gt,
                 }
               },
               [&](VertexId v, std::uint32_t d) {
+                // Entries left queued when the edge budget runs out may
+                // have gone stale since they were queued.
+                if (dist[v].load(std::memory_order_relaxed) != d) return;
                 bags[bucket_for(d - base)]->insert(encode(v, d));
               },
-              stats);
+              stats, [&] { return edges >= edge_budget; });
           if (stats) stats->add_edges(edges);
         },
         1);
+    if (stats) stats->end_round(ready.size());
   }
 
   std::vector<std::uint32_t> out(n);

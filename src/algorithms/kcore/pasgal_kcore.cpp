@@ -109,8 +109,7 @@ std::vector<std::uint32_t> pasgal_kcore(const Graph& g, const AlgoOptions& opt,
       continue;
     }
     if (stats) {
-      stats->end_round(ready.size(),
-                       tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
+      stats->set_round_kind(tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
     }
 
     // Peel the wave; VGC keeps chains in-task.
@@ -161,6 +160,7 @@ std::vector<std::uint32_t> pasgal_kcore(const Graph& g, const AlgoOptions& opt,
       std::uint32_t d = degree[v].load(std::memory_order_relaxed);
       buckets[bucket_of(std::max(d, k))]->insert(encode(v, d));
     });
+    if (stats) stats->end_round(ready.size());
     remaining = n - static_cast<std::size_t>(
                         total_peeled.load(std::memory_order_relaxed));
   }

@@ -53,7 +53,7 @@ void multi_reach(const Graph& g, const Graph& gt,
     if (use_dense && work > dense_limit) {
       // Dense pull rounds until the wave subsides.
       for (;;) {
-        if (stats) stats->end_round(current.size(), RoundKind::kDense);
+        if (stats) stats->set_round_kind(RoundKind::kDense);
         std::vector<std::uint8_t> newly(n, 0);
         parallel_for(0, n, [&](std::size_t vi) {
           VertexId v = static_cast<VertexId>(vi);
@@ -70,7 +70,10 @@ void multi_reach(const Graph& g, const Graph& gt,
           }
           if (stats) stats->add_edges(scanned);
         });
-        if (stats) stats->add_visits(n);
+        if (stats) {
+          stats->add_visits(n);
+          stats->end_round(current.size());
+        }
         auto next = pack_indexed<VertexId>(
             n, [&](std::size_t v) { return newly[v] != 0; },
             [&](std::size_t v) { return static_cast<VertexId>(v); });
@@ -88,8 +91,8 @@ void multi_reach(const Graph& g, const Graph& gt,
     }
 
     if (stats) {
-      stats->end_round(current.size(),
-                       vgc.tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
+      stats->set_round_kind(vgc.tau > 1 ? RoundKind::kLocal
+                                        : RoundKind::kSparse);
     }
     parallel_for(
         0, current.size(),
@@ -107,6 +110,7 @@ void multi_reach(const Graph& g, const Graph& gt,
               bag, stats);
         },
         1);
+    if (stats) stats->end_round(current.size());
     current = bag.extract_all();
   }
 }

@@ -139,8 +139,8 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
     if (ready.empty()) continue;
 
     if (stats) {
-      stats->end_round(ready.size(), vgc.tau > 1 ? RoundKind::kLocal
-                                                 : RoundKind::kSparse);
+      stats->set_round_kind(vgc.tau > 1 ? RoundKind::kLocal
+                                        : RoundKind::kSparse);
     }
     parallel_for(
         0, ready.size(),
@@ -173,6 +173,7 @@ std::vector<Dist> stepping_sssp(const WeightedGraph<std::uint32_t>& g,
           if (stats) stats->add_edges(edges);
         },
         1);
+    if (stats) stats->end_round(ready.size());
   }
 
   return tabulate(n, [&](std::size_t v) {

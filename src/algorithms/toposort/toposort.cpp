@@ -82,8 +82,7 @@ Status internal::pasgal_toposort(const Graph& g,
   std::vector<VertexId> frontier = std::move(roots);
   while (!frontier.empty()) {
     if (stats) {
-      stats->end_round(frontier.size(),
-                       tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
+      stats->set_round_kind(tau > 1 ? RoundKind::kLocal : RoundKind::kSparse);
     }
     parallel_for(
         0, frontier.size(),
@@ -116,6 +115,7 @@ Status internal::pasgal_toposort(const Graph& g,
           }
         },
         1);
+    if (stats) stats->end_round(frontier.size());
     frontier = bag.extract_all();
   }
   std::uint64_t done = finished.load(std::memory_order_relaxed);

@@ -36,7 +36,9 @@ class HashBag {
 
   // `first_block_log2`: capacity of block 0; doubles per block.
   explicit HashBag(int first_block_log2 = 12, int max_blocks = 24)
-      : first_block_log2_(first_block_log2), blocks_(max_blocks) {
+      : first_block_log2_(first_block_log2),
+        blocks_(max_blocks),
+        nonces_(static_cast<std::size_t>(num_workers())) {
     ensure_block(0);
   }
 
@@ -47,18 +49,26 @@ class HashBag {
   void attach_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Thread-safe. `x` must not equal the empty sentinel. Duplicate values are
-  // fine: the probe start mixes in a per-thread nonce, so equal elements
-  // spread across the block instead of fighting for one window.
+  // fine: the probe start mixes in a per-worker nonce, so equal elements
+  // spread across the block instead of fighting for one window. The nonces
+  // belong to the bag, so a bag fed the same inserts by the same workers
+  // places them in the same slots, run after run.
   //
   // When every block up to `max_blocks` is full, insert throws a kResource
   // pasgal::Error instead of spinning on the last block forever: on the
   // final block the short probe window widens to a full sweep, and a sweep
   // that finds no empty slot proves saturation.
   void insert(T x) {
-    static thread_local std::uint64_t nonce = 0;
-    std::uint64_t salt =
-        hash64(static_cast<std::uint64_t>(x) ^
-               hash64(++nonce + (static_cast<std::uint64_t>(worker_id()) << 48)));
+    std::size_t w = static_cast<std::size_t>(worker_id());
+    // Workers beyond the count at construction (the pool was since grown)
+    // share slot 0: relaxed load and store keep that race benign, and it
+    // only weakens the spread of their duplicates.
+    std::atomic<std::uint64_t>& nonce =
+        nonces_[w < nonces_.size() ? w : 0].value;
+    std::uint64_t k = nonce.load(std::memory_order_relaxed) + 1;
+    nonce.store(k, std::memory_order_relaxed);
+    std::uint64_t salt = hash64(static_cast<std::uint64_t>(x) ^
+                                hash64(k + (static_cast<std::uint64_t>(w) << 48)));
     for (std::uint64_t attempt = 0;; ++attempt) {
       std::size_t b = current_block_.load(std::memory_order_acquire);
       Block* blk = ensure_block(b);
@@ -214,9 +224,15 @@ class HashBag {
     std::atomic<Block*> ptr_{nullptr};
   };
 
+  // One insert counter per worker, each on its own cache line.
+  struct alignas(64) Nonce {
+    std::atomic<std::uint64_t> value{0};
+  };
+
   int first_block_log2_;
   std::atomic<std::size_t> current_block_{0};
   std::vector<AtomicBlockPtr> blocks_;
+  std::vector<Nonce> nonces_;
   Tracer* tracer_ = nullptr;
 };
 

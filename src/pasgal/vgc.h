@@ -97,13 +97,24 @@ std::uint64_t local_search(const Graph& g, VertexId root, const VgcParams& p,
 // Both orders share the budget rules: entries are kept while fewer than tau
 // have been expanded and the container holds fewer than kVgcLocalStackCap,
 // and stale pops still count as expansions.
+//
+// `exhausted()` lets the caller end the search early, e.g. once it has
+// scanned an edge budget: it is checked before each pop, and once it returns
+// true every entry still queued goes to `spill` unexpanded. Without it, a
+// budget counted in expansions lets one task around a hub scan a large share
+// of the graph's edges.
 enum class LocalOrder { kFifo, kMinDist };
 
+struct NeverExhausted {
+  bool operator()() const { return false; }
+};
+
 template <LocalOrder kOrder = LocalOrder::kFifo, typename Relax,
-          typename Spill>
+          typename Spill, typename Exhausted = NeverExhausted>
 std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
                                 const VgcParams& p, Relax&& relax,
-                                Spill&& spill, Tracer* stats = nullptr) {
+                                Spill&& spill, Tracer* stats = nullptr,
+                                Exhausted&& exhausted = {}) {
   struct Entry {
     VertexId v;
     std::uint32_t dist;
@@ -126,6 +137,12 @@ std::uint64_t local_search_dist(VertexId root, std::uint32_t root_dist,
   };
   std::uint64_t expanded = 0;
   while (head < queue.size()) {
+    if (exhausted()) {
+      for (std::size_t i = head; i < queue.size(); ++i) {
+        spill(queue[i].v, queue[i].dist);
+      }
+      break;
+    }
     Entry e = pop();
     ++expanded;
     relax(e.v, e.dist, [&](VertexId v, std::uint32_t d) {

@@ -452,11 +452,9 @@ TEST(AlgoOptionsFields, EveryFieldReachesItsKernel) {
   }
 
   auto bfs = [&](const AlgoOptions& o) { return pasgal_bfs(grid, grid, o); };
-  // One-hop rounds from the hub: level-synchronous, so a wide level goes
-  // dense when the direction knobs allow it.
+  // From the hub a wide level goes dense when the direction knobs allow it.
   auto social_bfs = [&](AlgoOptions o) {
     o.source = hub;
-    o.vgc.tau = 1;
     return pasgal_bfs(social, social_t, o);
   };
   auto sssp = [&](const AlgoOptions& o) { return stepping_sssp(weighted, o); };

@@ -92,6 +92,26 @@ TEST(Determinism, SsspAndKcoreScheduleIndependent) {
   EXPECT_EQ(c1, c4);
 }
 
+TEST(Determinism, PasgalBfsAndKcoreWorkRepeatsAtOneWorker) {
+  // At P = 1 a run is a fixed sequence of inserts into its own hash bags,
+  // so the frontier order, and with it the rounds and the edges scanned,
+  // must repeat exactly from run to run.
+  Scheduler::reset(1);
+  Graph g = gen::road_grid(100, 100, 0.85, 5);
+  Graph gt = g.transpose();
+  auto b1 = pasgal_bfs(g, gt, {});
+  auto b2 = pasgal_bfs(g, gt, {});
+  EXPECT_EQ(b1.output, b2.output);
+  EXPECT_EQ(b1.telemetry.rounds.size(), b2.telemetry.rounds.size());
+  EXPECT_EQ(b1.telemetry.edges_scanned, b2.telemetry.edges_scanned);
+  Graph u = g.symmetrize();
+  auto k1 = pasgal_kcore(u, {});
+  auto k2 = pasgal_kcore(u, {});
+  EXPECT_EQ(k1.output, k2.output);
+  EXPECT_EQ(k1.telemetry.rounds.size(), k2.telemetry.rounds.size());
+  EXPECT_EQ(k1.telemetry.edges_scanned, k2.telemetry.edges_scanned);
+}
+
 TEST(Determinism, ConnectivityLabelsScheduleIndependent) {
   Graph g = gen::sampled_edges(gen::rectangle_grid(30, 30), 0.5, 29).symmetrize();
   auto l1 = with_workers(1, [&] { return connected_components(g).label; });
